@@ -44,8 +44,7 @@ root with:
   addresses, best of three) for the synthetic provider and for a compiled
   sorted-range database, which must agree element-for-element; the
   range-DB path carries a hard ≥ 1M lookups/sec floor and the same > 20 %
-  regression guard as the campaign throughput, plus the hybrid cache's
-  hit ratio on a hot re-lookup mix;
+  regression guard as the campaign throughput;
 * ``campaign_service`` — a four-job ``monitor_fraction_sweep`` grid (one
   exposure digest) through the campaign service's planner + queue + runner
   versus the same four jobs as standalone ``run_scenario`` calls with cold
@@ -292,17 +291,14 @@ def _bench_enrichment(tmp_dir):
     Both providers resolve the same one million uniformly random IPv4
     addresses through their vectorised ``resolve_ints`` path; the answers
     must agree element-for-element (the cross-provider equivalence the
-    enrichment plane promises).  A hot re-lookup mix through the hybrid
-    cache reports the scalar path's hit ratio.
+    enrichment plane promises).
     """
     import numpy as np
 
     from repro.enrichment import (
-        HybridCacheProvider,
         RangeDbProvider,
         SyntheticProvider,
         compile_range_db,
-        int_to_ipv4,
         rows_from_registry,
     )
     from repro.sim.geo import default_registry
@@ -332,23 +328,12 @@ def _bench_enrichment(tmp_dir):
         "synthetic and range-DB providers disagree on batched lookups"
     )
 
-    # Hybrid-cache hit ratio on a hot working set: 64 addresses looked up
-    # 2048 times round-robin — everything past the first pass is a memory
-    # hit, so the ratio lands just under 1 (64/2048 misses).
-    cache = HybridCacheProvider(range_db, capacity=512)
-    hot = [int_to_ipv4(int(addr)) for addr in addrs[:64]]
-    for index in range(2048):
-        cache.lookup(hot[index % len(hot)])
-    stats = cache.stats.as_dict()
     range_db.close()
     return {
         "enrichment": {
             "batch_size": ENRICHMENT_BATCH,
             "synthetic_lookups_per_second": round(synthetic_rate, 1),
             "range_db_lookups_per_second": round(range_db_rate, 1),
-            "cache_hit_ratio": round(stats["hit_ratio"], 4),
-            "cache_memory_hits": stats["memory_hits"],
-            "cache_misses": stats["misses"],
         }
     }
 
@@ -590,9 +575,9 @@ def test_perf_budget(tmp_path):
 
     # Enrichment plane: the batched range-DB path must stay above the hard
     # 1M lookups/sec floor (machine-independent by a wide margin — the
-    # vectorised searchsorted path runs tens of millions per second), the
-    # hot-set cache must actually cache, and throughput joins the same
-    # hardware-relative regression guard as the campaign numbers.
+    # vectorised searchsorted path runs tens of millions per second), and
+    # throughput joins the same hardware-relative regression guard as the
+    # campaign numbers.
     enrichment = payload["enrichment"]
     assert (
         enrichment["range_db_lookups_per_second"]
@@ -602,7 +587,6 @@ def test_perf_budget(tmp_path):
         f"{ENRICHMENT_MIN_LOOKUPS_PER_SECOND:,}/s floor: "
         f"{enrichment['range_db_lookups_per_second']:,.0f}/s"
     )
-    assert enrichment["cache_hit_ratio"] > 0.9
     baseline_enrichment = (
         None
         if skip_guard

@@ -32,7 +32,7 @@ The subcommands mirror the stages of the paper plus the scenario registry:
 ``repro geo build-db|lookup``
     The enrichment plane's tooling: compile a CSV/JSON range table into
     the binary sorted-range geo database, and resolve one address through
-    the active provider + cache cascade (reporting which tier answered).
+    the active provider.
 
 ``repro grid plan|run|resume``
     The campaign service: expand a registered scenario times axes of
@@ -67,8 +67,7 @@ second run of the same scenario skips the population rebuild entirely.
 ``--exposure-backend out-of-core`` streams cache misses straight to a
 disk bundle instead of materialising the whole day range in RAM (the
 backend for 10-100x paper-scale campaigns); ``--cache-max-bytes``
-bounds the cache directory with LRU eviction, and ``--cache-shard-days``
-tunes the bundle's streaming granularity.
+bounds the cache directory with LRU eviction.
 
 Installed as the ``repro`` console script (see ``pyproject.toml``), and also
 runnable as ``python -m repro.cli``.
@@ -83,6 +82,7 @@ import signal
 import sys
 import threading
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, List, Optional, Sequence, TypeVar
 
@@ -159,14 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="LRU byte budget for the cache directory, e.g. '2G', '500M', "
         "'1.5GiB' (least-recently-used bundles are evicted after each "
         "save).  Default: $REPRO_CACHE_MAX_BYTES or unlimited",
-    )
-    parser.add_argument(
-        "--cache-shard-days",
-        type=int,
-        default=None,
-        metavar="N",
-        help="days per on-disk bundle shard (streaming granularity; default: "
-        "$REPRO_CACHE_SHARD_DAYS or 8)",
     )
     parser.add_argument(
         "--geo-provider",
@@ -281,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="input format (default: by file extension)",
     )
     lookup = geo_sub.add_parser(
-        "lookup",
-        help="resolve one IP through the active provider + cache cascade",
+        "lookup", help="resolve one IP through the active provider"
     )
     lookup.add_argument("ip", help="the address to resolve")
     lookup.add_argument(
@@ -441,18 +432,6 @@ def resolve_option(
     return default
 
 
-def _parse_shard_days(raw: str) -> int:
-    try:
-        days = int(raw)
-    except ValueError:
-        days = 0
-    if days <= 0:
-        raise ValueError(
-            f"REPRO_CACHE_SHARD_DAYS must be a positive integer; got {raw!r}"
-        )
-    return days
-
-
 def _parse_workers(raw: str) -> int:
     try:
         workers = int(raw)
@@ -506,17 +485,12 @@ def _make_engine(args: argparse.Namespace) -> ExposureEngine:
         "REPRO_CACHE_MAX_BYTES",
         parse=lambda raw: parse_byte_size(raw, "REPRO_CACHE_MAX_BYTES"),
     )
-    shard_days = resolve_option(
-        args.cache_shard_days, "REPRO_CACHE_SHARD_DAYS", parse=_parse_shard_days
-    )
     engine = ExposureEngine(
-        cache_dir=_resolve_cache_dir(args),
-        backend=backend,
-        max_bytes=max_bytes,
-        shard_days=shard_days,
+        cache_dir=_resolve_cache_dir(args), backend=backend, max_bytes=max_bytes
     )
     # Cache writes run off the critical path; main() joins them on exit so
     # an in-process caller (tests, notebooks) sees a settled cache dir.
+    # Grid runs build one engine per worker here and flush each themselves.
     args._engine = engine
     return engine
 
@@ -696,7 +670,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # during execution is a real failure and keeps its traceback.
     try:
         spec = resolve_scenario(
-            args.scenario, days=args.days, router_count=args.router_count
+            args.scenario,
+            days=args.days,
+            router_count=args.router_count,
+            scale=args.scale,
         )
     except (KeyError, ValueError) as error:
         print(error.args[0] if error.args else str(error), file=sys.stderr)
@@ -775,7 +752,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 def _cmd_geo(args: argparse.Namespace) -> int:
     from .enrichment import (
-        HybridCacheProvider,
         compile_range_db,
         get_active_provider,
         ipv4_to_int,
@@ -802,63 +778,23 @@ def _cmd_geo(args: argparse.Namespace) -> int:
         print(f"not a valid IP address: {args.ip!r}", file=sys.stderr)
         return 2
     provider = get_active_provider()
-    # Front the provider with the hybrid cache so repeated CLI lookups show
-    # the memory/disk tiers; the disk tier lives next to the exposure cache.
-    cache_dir = _resolve_cache_dir(args)
-    disk_path = (
-        cache_dir / "geo_lookup_cache.json" if cache_dir is not None else None
-    )
-    cache = HybridCacheProvider(provider, capacity=1024, disk_path=disk_path)
-    enrichment, tier = cache.lookup_with_tier(ip)
-    cache.flush()
+    enrichment = provider.lookup(ip)
     if args.json:
         import json as _json
 
         payload = dict(enrichment.as_dict())
         payload["provider"] = provider.name
-        payload["tier"] = tier
         print(_json.dumps(payload, sort_keys=True))
         return 0
     country = enrichment.country or "??"
     prefix = enrichment.prefix or "-"
     print(
         f"{ip} -> country={country} asn={enrichment.asn} prefix={prefix} "
-        f"(provider={provider.name}, tier={tier})"
+        f"(provider={provider.name})"
     )
     if not enrichment.known:
         print("address is outside the provider's tables (sentinel ASN 0)")
     return 0
-
-
-def _engine_factory(args: argparse.Namespace) -> Callable[[], ExposureEngine]:
-    """Per-worker engine builder for grid runs (the runner flushes them)."""
-
-    def build() -> ExposureEngine:
-        from .sim.exposure import parse_byte_size
-
-        backend = resolve_option(
-            args.exposure_backend, "REPRO_EXPOSURE_BACKEND", default="in-memory"
-        )
-        max_bytes = resolve_option(
-            None
-            if args.cache_max_bytes is None
-            else parse_byte_size(args.cache_max_bytes, "--cache-max-bytes"),
-            "REPRO_CACHE_MAX_BYTES",
-            parse=lambda raw: parse_byte_size(raw, "REPRO_CACHE_MAX_BYTES"),
-        )
-        shard_days = resolve_option(
-            args.cache_shard_days,
-            "REPRO_CACHE_SHARD_DAYS",
-            parse=_parse_shard_days,
-        )
-        return ExposureEngine(
-            cache_dir=_resolve_cache_dir(args),
-            backend=backend,
-            max_bytes=max_bytes,
-            shard_days=shard_days,
-        )
-
-    return build
 
 
 def _usage_error(error: BaseException) -> int:
@@ -954,7 +890,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         outcome = execute_grid(
             str(db_path),
             grid_id,
-            engine_factory=_engine_factory(args),
+            engine_factory=partial(_make_engine, args),
             telemetry=telemetry,
             workers=workers,
             max_jobs=args.max_jobs,

@@ -193,12 +193,10 @@ class MeasurementCampaign:
         self,
         config: CampaignConfig,
         engine: Optional[ExposureEngine] = None,
-        mask_workers: Optional[int] = None,
     ) -> None:
         self.config = config
         self.exposure = _campaign_exposure(config, engine)
         self.population = self.exposure.population
-        self._mask_workers = mask_workers
         self.monitors = [
             MonitoringRouter(
                 spec=spec,
@@ -233,9 +231,7 @@ class MeasurementCampaign:
         shard = getattr(self.exposure, "day_shard_size", 0) or days
         for start in range(0, days, shard):
             stop = min(start + shard, days)
-            self.exposure.prefetch_masks(
-                all_specs, stop, workers=self._mask_workers, start_day=start
-            )
+            self.exposure.prefetch_masks(all_specs, stop, start_day=start)
             for day in range(start, stop):
                 view = self.exposure.view(day)
                 masks = self.exposure.fleet_day_masks(monitor_specs, day)

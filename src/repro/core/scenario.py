@@ -16,7 +16,7 @@ turns each of them — plus new what-if designs — into **data**:
   can enumerate and run them (``repro scenarios`` / ``repro run <name>``);
 * :func:`run_scenario` is the one engine that executes any spec on top of a
   shared :class:`~repro.sim.exposure.ExposureEngine` — so every scenario
-  benefits from the in-process exposure LRU *and* the on-disk npz cache,
+  benefits from the in-process exposure LRU *and* the on-disk bundle cache,
   and scenarios that share a population config share all of its work.
 
 Adding a new experiment is a registry entry, not a new module: pick a
@@ -791,14 +791,17 @@ def resolve_scenario(
     scenario: object,
     days: Optional[int] = None,
     router_count: Optional[int] = None,
+    scale: Optional[float] = None,
 ) -> ScenarioSpec:
     """Resolve a name or spec to a validated, adjusted :class:`ScenarioSpec`.
 
     Raises ``KeyError`` for unknown names, ``TypeError`` for wrong types,
-    and ``ValueError`` for invalid kinds / day / router-count overrides —
-    the user-input errors a CLI wants to catch, separated from execution
-    itself.
+    and ``ValueError`` for invalid kinds / day / router-count overrides or
+    a non-positive population ``scale`` — the user-input errors a CLI
+    wants to catch, separated from execution itself.
     """
+    if scale is not None and not scale > 0:
+        raise ValueError("scale must be positive")
     spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
     if not isinstance(spec, ScenarioSpec):
         raise TypeError("scenario must be a registered name or a ScenarioSpec")
@@ -839,10 +842,10 @@ def run_scenario(
     ``days`` overrides the spec's default horizon; ``router_count`` the
     simulated-network size of message-level kinds; ``engine`` an existing
     exposure engine (so several scenarios share populations); ``cache_dir``
-    a directory for the cross-process npz exposure cache (ignored when an
+    a directory for the cross-process exposure bundle cache (ignored when an
     explicit engine is passed — configure the engine instead).
     """
-    spec = resolve_scenario(scenario, days, router_count)
+    spec = resolve_scenario(scenario, days, router_count, scale)
     if engine is None:
         engine = ExposureEngine(cache_dir=cache_dir)
     out = ScenarioResult(

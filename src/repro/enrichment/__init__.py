@@ -1,9 +1,9 @@
 """Pluggable geo/ASN enrichment plane (PR 9).
 
 One :class:`GeoProvider` contract, three backends (synthetic registry,
-mmap'd sorted-range database, pyasn-style longest-prefix-match index), a
-hybrid memory+disk cache tier, and the session-active-provider plumbing
-the analyses resolve through.  See ``repro geo --help`` for the tooling.
+mmap'd sorted-range database, pyasn-style longest-prefix-match index) and
+the session-active-provider plumbing the analyses resolve through.  See
+``repro geo --help`` for the tooling.
 """
 
 from .base import (
@@ -16,7 +16,6 @@ from .base import (
     prefix_string,
     split_range_to_prefixes,
 )
-from .cache import CacheStats, HybridCacheProvider
 from .provider import (
     PROVIDER_KINDS,
     build_provider,
@@ -44,8 +43,6 @@ __all__ = [
     "RangeDbProvider",
     "RangeRow",
     "SyntheticProvider",
-    "CacheStats",
-    "HybridCacheProvider",
     "PROVIDER_KINDS",
     "build_provider",
     "compile_range_db",

@@ -10,9 +10,7 @@ one :class:`GeoProvider` interface with pluggable implementations —
   registry (the default; byte-identical to the historical path);
 * :class:`~repro.enrichment.rangedb.RangeDbProvider` reads a compact
   sorted-range binary database compiled from CSV/JSON range tables
-  (``repro geo build-db``), mmap-backed like an offline GeoLite2 reader;
-* :class:`~repro.enrichment.cache.HybridCacheProvider` fronts any provider
-  with an in-memory LRU + on-disk cache tier and hit/miss/eviction counters.
+  (``repro geo build-db``), mmap-backed like an offline GeoLite2 reader.
 
 Every lookup returns an :class:`Enrichment`: the resolved country, the ASN
 (:data:`SENTINEL_ASN` = 0 for *unknown*, mirroring pyasn's convention of a
@@ -51,7 +49,7 @@ class Enrichment:
 
     ``asn`` is :data:`SENTINEL_ASN` (0) and ``country``/``prefix`` are
     ``None`` when the address falls outside the provider's tables.
-    Slotted + frozen: cache tiers hold many of these.
+    Slotted + frozen, so holding many of them is cheap.
     """
 
     ip: str
@@ -146,7 +144,7 @@ def split_range_to_prefixes(start: int, end: int) -> List[Tuple[int, int]]:
 class GeoProvider:
     """The enrichment contract every backend implements.
 
-    Scalar :meth:`lookup` serves debug tooling and cache cascades; the
+    Scalar :meth:`lookup` serves debug tooling (``repro geo lookup``); the
     vectorised :meth:`resolve_ints` serves analysis hot paths (censorship
     curves, benchmarks) where addresses are already 32-bit integers.
     Subclasses must implement :meth:`lookup`; the batch forms have generic
@@ -186,7 +184,7 @@ class GeoProvider:
 
         This is the censor-profile source: a prefix-granular national
         censor blocks exactly these.  Empty when the backend cannot
-        enumerate (e.g. a pure cache tier with no inner provider).
+        enumerate.
         """
         return ()
 

@@ -48,18 +48,13 @@ def run_budgeted_campaign(
     seed: int,
     backend: str,
     cache_dir: Optional[Path] = None,
-    shard_days: Optional[int] = None,
 ) -> dict:
     """Run one main campaign and report its cost (see module docstring)."""
     from repro.core.campaign import run_main_campaign
     from repro.core.reporting import render_campaign_summary
     from repro.sim.exposure import ExposureEngine
 
-    engine = ExposureEngine(
-        cache_dir=cache_dir,
-        backend=backend,
-        shard_days=shard_days,
-    )
+    engine = ExposureEngine(cache_dir=cache_dir, backend=backend)
     start = time.perf_counter()
     result = run_main_campaign(
         days=days,
@@ -106,9 +101,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="exposure cache directory (required for --backend out-of-core)",
     )
     parser.add_argument(
-        "--shard-days", type=int, default=None, help="days per bundle shard"
-    )
-    parser.add_argument(
         "--budget-mib",
         type=float,
         default=None,
@@ -122,7 +114,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         seed=args.seed,
         backend=args.backend,
         cache_dir=args.cache_dir,
-        shard_days=args.shard_days,
     )
     if args.budget_mib is not None:
         record["budget_mib"] = args.budget_mib

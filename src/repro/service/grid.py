@@ -195,7 +195,7 @@ class GridJob:
             spec = replace(
                 spec, params={**dict(spec.params), **dict(self.params)}
             )
-        return resolve_scenario(spec, days=self.days)
+        return resolve_scenario(spec, days=self.days, scale=self.scale)
 
     def as_dict(self) -> Dict[str, object]:
         return {

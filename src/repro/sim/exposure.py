@@ -44,11 +44,7 @@ are byte-identical, which `tests/sim/test_exposure.py` locks in.
 
 Cache invalidation is by eviction only: entries are immutable once built, a
 small LRU (default 4 keys) bounds memory, and :meth:`ExposureEngine.clear`
-drops everything.  An optional process-pool fan-out
-(:meth:`SharedExposure.prefetch_masks` with ``workers > 1``, or the
-``REPRO_EXPOSURE_WORKERS`` environment variable) computes per-monitor masks
-for large fleets in parallel; results are identical to the serial path
-because every mask has its own derived seed.
+drops everything.
 """
 
 from __future__ import annotations
@@ -56,6 +52,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -66,7 +63,6 @@ from .population import DayView, I2PPopulation, PopulationConfig
 from .rng import derive_seed
 
 __all__ = [
-    "AUTO_WORKER_MONITOR_CROSSOVER",
     "CachedExposure",
     "ExposureEngine",
     "SharedExposure",
@@ -87,97 +83,6 @@ def _mask_stream_name(spec: MonitorSpec, day: int) -> str:
     # repr() keeps full float precision: two monitors whose bandwidths agree
     # only to a few significant digits must not share a mask stream.
     return f"monitor:{spec.name}|{spec.mode.value}|{spec.shared_kbps!r}|day:{day}"
-
-
-def _draw_monitor_mask(
-    observation_seed: int, spec: MonitorSpec, day: int, exposure: DayExposure
-) -> np.ndarray:
-    """The pure per-(monitor, day) mask computation (also run in workers)."""
-    probabilities = ObservationModel.observation_probabilities(exposure, spec)
-    rng = np.random.default_rng(
-        derive_seed(observation_seed, _mask_stream_name(spec, day))
-    )
-    return rng.random(probabilities.size) < probabilities
-
-
-# --------------------------------------------------------------------------- #
-# Optional process-pool fan-out
-# --------------------------------------------------------------------------- #
-#: Per-worker day exposure payload, installed by the pool initializer so each
-#: task only ships its (spec, day) tuple instead of the day arrays.
-_WORKER_EXPOSURES: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _pool_init(payload: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
-    global _WORKER_EXPOSURES
-    _WORKER_EXPOSURES = payload
-
-
-def _pool_compute(
-    task: Tuple[int, str, str, float, int]
-) -> Tuple[str, str, float, int, np.ndarray, int]:
-    observation_seed, name, mode_value, kbps, day = task
-    flood, tunnel, visibility = _WORKER_EXPOSURES[day]
-    from .observation import MonitorMode  # local import keeps workers lean
-
-    spec = MonitorSpec(name, MonitorMode(mode_value), kbps)
-    exposure = DayExposure(flood, tunnel, visibility)
-    mask = _draw_monitor_mask(observation_seed, spec, day, exposure)
-    return (name, mode_value, kbps, day, np.packbits(mask), mask.size)
-
-
-def _parse_workers(value: object, source: str) -> int:
-    """Validate a worker count: non-negative integer, clear error otherwise."""
-    try:
-        workers = int(str(value))
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{source} must be a non-negative integer "
-            f"(0 disables the process pool); got {value!r}"
-        ) from None
-    if workers < 0:
-        raise ValueError(
-            f"{source} must be a non-negative integer "
-            f"(0 disables the process pool); got {workers}"
-        )
-    return workers
-
-
-def _env_workers() -> Optional[int]:
-    """The ``REPRO_EXPOSURE_WORKERS`` override, or ``None`` when unset.
-
-    An explicit value — including ``0`` — always wins over the automatic
-    crossover policy.
-    """
-    value = os.environ.get("REPRO_EXPOSURE_WORKERS")
-    if value is None or value.strip() == "":
-        return None
-    return _parse_workers(value, "REPRO_EXPOSURE_WORKERS")
-
-
-#: Fleet size past which the process-pool fan-out pays for itself on a
-#: multi-core host.  Measured on the 1-CPU reference container (see
-#: ROADMAP): serial per-mask cost is ~0.4 ms (scale 1.0) to ~4 ms
-#: (scale 10) against ~0.10–0.15 s of fixed pool spawn plus ~0.4 ms of
-#: per-task dispatch, so with ≥ 4 effective workers the pool amortises its
-#: spawn once a prefetch covers ≥ 32 monitors; below 2 CPUs it can never
-#: win (measured speedup plateaus at 0.65–0.74×) and stays off.
-AUTO_WORKER_MONITOR_CROSSOVER = 32
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def _auto_workers(monitor_count: int) -> int:
-    """Workers the crossover policy picks for a fleet of ``monitor_count``."""
-    cpus = _available_cpus()
-    if cpus < 2 or monitor_count < AUTO_WORKER_MONITOR_CROSSOVER:
-        return 0
-    return min(cpus, 8)
 
 
 class SharedExposure:
@@ -250,9 +155,13 @@ class SharedExposure:
         key = (_monitor_key(spec), day)
         cached = self._masks.get(key)
         if cached is None:
-            mask = _draw_monitor_mask(
-                self.observation_seed, spec, day, self.exposure(day)
+            probabilities = ObservationModel.observation_probabilities(
+                self.exposure(day), spec
             )
+            rng = np.random.default_rng(
+                derive_seed(self.observation_seed, _mask_stream_name(spec, day))
+            )
+            mask = rng.random(probabilities.size) < probabilities
             self._masks[key] = (np.packbits(mask), mask.size)
             return mask
         packed, count = cached
@@ -269,88 +178,19 @@ class SharedExposure:
         return masks
 
     def prefetch_masks(
-        self,
-        specs: Sequence[MonitorSpec],
-        days: int,
-        workers: Optional[int] = None,
-        min_tasks_per_worker: int = 4,
-        start_day: int = 0,
+        self, specs: Sequence[MonitorSpec], days: int, start_day: int = 0
     ) -> None:
         """Compute (and cache) the ``(spec, day)`` masks for days
-        ``[start_day, days)``, optionally in a process pool.
-
-        With ``workers=None`` the ``REPRO_EXPOSURE_WORKERS`` environment
-        variable wins when set (0 = serial); otherwise the measured
-        crossover policy decides — the pool switches on automatically for
-        fleets of ≥ :data:`AUTO_WORKER_MONITOR_CROSSOVER` monitors when at
-        least two CPUs are available.  Results are bit-for-bit identical to
-        the serial path — each mask has its own derived seed — so the pool
-        is a pure wall-time optimisation for large fleets.  Any pool
-        failure falls back to serial computation.  A non-integer or
-        negative worker count (explicit or via the environment variable)
-        raises ``ValueError`` up front.
+        ``[start_day, days)``.
 
         ``start_day`` lets streamed consumers prefetch one day-range shard
         at a time without re-deriving masks they already released.
         """
-        if workers is None:
-            env = _env_workers()
-            workers = _auto_workers(len(specs)) if env is None else env
-        else:
-            workers = _parse_workers(workers, "workers")
         self.ensure_days(days)
-        pending: List[Tuple[MonitorSpec, int]] = []
         for spec in specs:
-            key = _monitor_key(spec)
             for day in range(start_day, days):
-                if (key, day) not in self._masks:
-                    pending.append((spec, day))
-        if not pending:
-            return
-        if workers > 1 and len(pending) >= workers * min_tasks_per_worker:
-            try:
-                self._prefetch_pool(pending, days, workers)
-                return
-            except Exception:  # pragma: no cover - pool availability varies
-                pass
-        for spec, day in pending:
-            self.monitor_day_mask(spec, day)
-
-    def _prefetch_pool(
-        self, pending: Sequence[Tuple[MonitorSpec, int]], days: int, workers: int
-    ) -> None:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        global _WORKER_EXPOSURES
-
-        payload = {
-            day: (
-                np.asarray(self._exposures[day].flood_exposed),
-                np.asarray(self._exposures[day].tunnel_exposed),
-                np.asarray(self._exposures[day].visibility),
-            )
-            for day in sorted({day for _, day in pending})
-        }
-        tasks = [
-            (self.observation_seed, spec.name, spec.mode.value, float(spec.shared_kbps), day)
-            for spec, day in pending
-        ]
-        if "fork" in multiprocessing.get_all_start_methods():
-            # Forked workers inherit the payload copy-on-write through the
-            # module global — no per-worker pickling of the day arrays.
-            _WORKER_EXPOSURES = payload
-            pool_kwargs = {"mp_context": multiprocessing.get_context("fork")}
-        else:  # pragma: no cover - spawn-only platforms
-            pool_kwargs = {"initializer": _pool_init, "initargs": (payload,)}
-        try:
-            with ProcessPoolExecutor(max_workers=workers, **pool_kwargs) as pool:
-                for name, mode_value, kbps, day, packed, count in pool.map(
-                    _pool_compute, tasks, chunksize=max(1, len(tasks) // (workers * 4))
-                ):
-                    self._masks[((name, mode_value, kbps), day)] = (packed, count)
-        finally:
-            _WORKER_EXPOSURES = {}
+                if (_monitor_key(spec), day) not in self._masks:
+                    self.monitor_day_mask(spec, day)
 
     # ------------------------------------------------------------------ #
     # Unions / coverage helpers
@@ -450,6 +290,9 @@ class CachedExposure(SharedExposure):
         self._day_cache: "OrderedDict[int, Tuple[DayView, DayExposure]]" = (
             OrderedDict()
         )
+        #: Decoded ip/ipv6 columns per day, filled only by the views'
+        #: ``address_loader`` (never while recording).
+        self._addresses: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------ #
     @property
@@ -477,6 +320,8 @@ class CachedExposure(SharedExposure):
             del self._day_cache[day]
         for key in [k for k in self._masks if k[1] < before_day]:
             del self._masks[key]
+        for day in [d for d in self._addresses if d < before_day]:
+            del self._addresses[day]
         self._reader.release_before(before_day)
 
     # ------------------------------------------------------------------ #
@@ -521,10 +366,7 @@ class CachedExposure(SharedExposure):
         # Streamed monitors defer IP-set materialisation through this hook
         # instead of pinning the day's decoded address arrays (see
         # core.monitor.DailyIpSets.append_lazy).
-        view.address_loader = lambda: (
-            _decode_strings(np.asarray(reader.day_array(day, "ip"))),
-            _decode_strings(np.asarray(reader.day_array(day, "ipv6"))),
-        )
+        view.address_loader = partial(self._day_addresses, day)
         draw = DayExposure(
             flood_exposed=np.asarray(reader.day_array(day, "flood")),
             tunnel_exposed=np.asarray(reader.day_array(day, "tunnel")),
@@ -535,13 +377,31 @@ class CachedExposure(SharedExposure):
             self._day_cache.popitem(last=False)
         return view, draw
 
+    def _day_addresses(self, day: int) -> Tuple[np.ndarray, np.ndarray]:
+        """One day's decoded ip/ipv6 columns, decoded once and shared by
+        every monitor's lazy IP set for that day.
+
+        Recording never calls this, so it keeps one shard resident; the
+        analyses that materialise IP sets decode each day once instead of
+        once per monitor, and the sets share the decoded strings.
+        """
+        addresses = self._addresses.get(day)
+        if addresses is None:
+            from .exposure_cache import _decode_strings
+
+            addresses = (
+                _decode_strings(np.asarray(self._reader.day_array(day, "ip"))),
+                _decode_strings(np.asarray(self._reader.day_array(day, "ipv6"))),
+            )
+            self._addresses[day] = addresses
+        return addresses
+
 
 def build_out_of_core(
     population_config: PopulationConfig,
     observation_seed: int,
     days: int,
     directory,
-    shard_days: Optional[int] = None,
 ) -> CachedExposure:
     """Build an exposure straight to a disk bundle and stream it back.
 
@@ -563,14 +423,7 @@ def build_out_of_core(
         )
     population = I2PPopulation(config=population_config, retain_records=False)
     exposure_rng = np.random.default_rng(derive_seed(observation_seed, "exposure"))
-    writer = exposure_cache.BundleWriter(
-        directory,
-        population_config,
-        observation_seed,
-        shard_days=exposure_cache.DEFAULT_SHARD_DAYS
-        if shard_days is None
-        else shard_days,
-    )
+    writer = exposure_cache.BundleWriter(directory, population_config, observation_seed)
     try:
         for day in range(days):
             view = population.day_view(day)
@@ -583,13 +436,6 @@ def build_out_of_core(
         raise
     del population
     return exposure_cache.load_exposure(path)
-
-
-def _env_max_bytes() -> Optional[int]:
-    value = os.environ.get("REPRO_CACHE_MAX_BYTES")
-    if value is None or value.strip() == "":
-        return None
-    return parse_byte_size(value, "REPRO_CACHE_MAX_BYTES")
 
 
 def parse_byte_size(value: object, source: str) -> int:
@@ -619,23 +465,6 @@ def parse_byte_size(value: object, source: str) -> int:
     return int(count * multiplier)
 
 
-def _env_shard_days() -> int:
-    value = os.environ.get("REPRO_CACHE_SHARD_DAYS")
-    if value is None or value.strip() == "":
-        from .exposure_cache import DEFAULT_SHARD_DAYS
-
-        return DEFAULT_SHARD_DAYS
-    try:
-        days = int(value)
-    except ValueError:
-        days = 0
-    if days <= 0:
-        raise ValueError(
-            f"REPRO_CACHE_SHARD_DAYS must be a positive integer; got {value!r}"
-        )
-    return days
-
-
 class ExposureEngine:
     """LRU cache of :class:`SharedExposure` entries, optionally disk-backed.
 
@@ -654,10 +483,9 @@ class ExposureEngine:
     10–100× paper-scale campaigns (requires ``cache_dir``).
 
     First-run persistence is off the critical path: saves run on a
-    background thread (``background_writes=False`` restores synchronous
-    writes); :meth:`flush` joins any writes still in flight.  ``max_bytes``
-    (or ``REPRO_CACHE_MAX_BYTES``) bounds the cache directory with
-    least-recently-used eviction after each save.
+    background thread, and :meth:`flush` joins any writes still in flight.
+    ``max_bytes`` bounds the cache directory with least-recently-used
+    eviction after each save.
     """
 
     BACKENDS = ("in_memory", "out_of_core")
@@ -668,8 +496,6 @@ class ExposureEngine:
         cache_dir: Optional["os.PathLike"] = None,
         backend: str = "in_memory",
         max_bytes: Optional[int] = None,
-        shard_days: Optional[int] = None,
-        background_writes: bool = True,
     ) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
@@ -687,11 +513,7 @@ class ExposureEngine:
                 "cache and needs cache_dir (drop --no-cache / set --cache-dir)"
             )
         self.backend = backend
-        self.max_bytes = _env_max_bytes() if max_bytes is None else int(max_bytes)
-        self.shard_days = _env_shard_days() if shard_days is None else int(shard_days)
-        if self.shard_days <= 0:
-            raise ValueError("shard_days must be positive")
-        self.background_writes = background_writes
+        self.max_bytes = None if max_bytes is None else int(max_bytes)
         self._entries: "OrderedDict[Tuple[PopulationConfig, int], SharedExposure]" = (
             OrderedDict()
         )
@@ -757,11 +579,7 @@ class ExposureEngine:
     ) -> "CachedExposure":
         days = needed_days if needed_days > 0 else population_config.horizon_days
         entry = build_out_of_core(
-            population_config,
-            observation_seed,
-            days,
-            self.cache_dir,
-            shard_days=self.shard_days,
+            population_config, observation_seed, days, self.cache_dir
         )
         key = (population_config, observation_seed)
         self._persisted_days[key] = entry.days_materialised
@@ -832,9 +650,6 @@ class ExposureEngine:
             pending[0].join()  # serialise writes of one key
             if days <= self._persisted_days.get(key, 0):
                 return
-        if not self.background_writes:
-            self._persist_now(key, entry, days)
-            return
         thread = threading.Thread(
             target=self._persist_now,
             args=(key, entry, days),
@@ -855,9 +670,7 @@ class ExposureEngine:
         from . import exposure_cache
 
         try:
-            path = exposure_cache.save_exposure(
-                entry, self.cache_dir, shard_days=self.shard_days
-            )
+            path = exposure_cache.save_exposure(entry, self.cache_dir)
         except OSError:  # cache dir unwritable: stay in-memory only
             return
         if days > self._persisted_days.get(key, 0):

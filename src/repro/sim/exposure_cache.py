@@ -30,7 +30,7 @@ replace the bundle.
                            # (STORE_DTYPES) + the peer-id blob/lengths,
                            # mapped read-only into a MemmapPeerColumns.
       days-00000/<column>.bin
-      days-00008/...       # day-range shards: each file concatenates the
+      days-00002/...       # day-range shards: each file concatenates the
                            # per-day arrays of DAY_DTYPES for the days in
                            # [start, start + shard_days); per-day slice
                            # boundaries follow from meta's online counts.
@@ -109,8 +109,9 @@ FORMAT_VERSION = 2
 SIMULATION_EPOCH = 1
 
 #: Days per on-disk shard (and per mask-grid shard for streamed runs).
+#: Every bundle is written with it; readers follow meta.json's value.
 #: A streamed campaign keeps up to two shards' pages plus one shard's
-#: mask grid resident, so the shard size is the streaming memory knob:
+#: mask grid resident, so the shard size sets streaming memory:
 #: measured at scale 10 (10-day campaign, ~360K peers), shard_days=2
 #: peaked at 526 MiB vs 653 MiB (4) and 747 MiB (8) — and ran fastest,
 #: because smaller windows recycle pages before reclaim kicks in.
@@ -392,9 +393,7 @@ class BundleWriter:
             shutil.rmtree(self._temp, ignore_errors=True)
 
 
-def save_exposure(
-    exposure, directory: Path, shard_days: int = DEFAULT_SHARD_DAYS
-) -> Path:
+def save_exposure(exposure, directory: Path) -> Path:
     """Persist a (fully built) :class:`SharedExposure` entry; returns the path.
 
     Only the days materialised so far are persisted.  The write is atomic
@@ -402,8 +401,7 @@ def save_exposure(
     bundle.
     """
     writer = BundleWriter(
-        Path(directory), exposure.population_config, exposure.observation_seed,
-        shard_days=shard_days,
+        Path(directory), exposure.population_config, exposure.observation_seed
     )
     try:
         for day in range(exposure.days_materialised):

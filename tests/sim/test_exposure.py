@@ -122,70 +122,3 @@ class TestMaskSemantics:
                 assert np.array_equal(
                     a.fleet_day_masks(specs, day), b.fleet_day_masks(specs, day)
                 )
-
-
-class TestProcessPoolFanout:
-    def test_pool_matches_serial(self):
-        config = PopulationConfig(target_daily_population=300, horizon_days=3, seed=5)
-        serial = SharedExposure(config, OBS_SEED)
-        pooled = SharedExposure(config, OBS_SEED)
-        fleet = standard_monitor_fleet(4, 4)
-        pooled.prefetch_masks(fleet, 3, workers=2, min_tasks_per_worker=1)
-        for day in range(3):
-            assert np.array_equal(
-                serial.fleet_day_masks(fleet, day), pooled.fleet_day_masks(fleet, day)
-            )
-
-
-class TestWorkerValidation:
-    """REPRO_EXPOSURE_WORKERS / explicit worker counts fail fast and clearly."""
-
-    def _exposure(self):
-        return SharedExposure(CONFIG, OBS_SEED)
-
-    def _specs(self):
-        return standard_monitor_fleet(1, 1, 8000.0)
-
-    def test_non_integer_env_value_raises_clearly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXPOSURE_WORKERS", "three")
-        with pytest.raises(ValueError, match="REPRO_EXPOSURE_WORKERS must be a non-negative integer"):
-            self._exposure().prefetch_masks(self._specs(), days=2)
-
-    def test_negative_env_value_raises_clearly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXPOSURE_WORKERS", "-3")
-        with pytest.raises(ValueError, match="non-negative integer"):
-            self._exposure().prefetch_masks(self._specs(), days=2)
-
-    def test_float_env_value_raises_clearly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXPOSURE_WORKERS", "2.5")
-        with pytest.raises(ValueError, match="REPRO_EXPOSURE_WORKERS"):
-            self._exposure().prefetch_masks(self._specs(), days=2)
-
-    def test_blank_env_value_means_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXPOSURE_WORKERS", "  ")
-        exposure = self._exposure()
-        exposure.prefetch_masks(self._specs(), days=2)  # no error, serial path
-        assert exposure.days_materialised == 2
-
-    def test_explicit_negative_workers_raises(self):
-        with pytest.raises(ValueError, match="workers must be a non-negative integer"):
-            self._exposure().prefetch_masks(self._specs(), days=2, workers=-1)
-
-    def test_explicit_non_integer_workers_raises(self):
-        with pytest.raises(ValueError, match="workers must be a non-negative integer"):
-            self._exposure().prefetch_masks(self._specs(), days=2, workers="many")
-
-    def test_validation_happens_before_any_work(self, monkeypatch):
-        """The error surfaces even when every mask is already cached."""
-        monkeypatch.setenv("REPRO_EXPOSURE_WORKERS", "nope")
-        exposure = self._exposure()
-        with pytest.raises(ValueError, match="REPRO_EXPOSURE_WORKERS"):
-            exposure.prefetch_masks(self._specs(), days=1)
-
-    def test_zero_and_positive_are_accepted(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXPOSURE_WORKERS", "0")
-        exposure = self._exposure()
-        exposure.prefetch_masks(self._specs(), days=1)
-        monkeypatch.setenv("REPRO_EXPOSURE_WORKERS", "1")
-        exposure.prefetch_masks(self._specs(), days=2)
-        assert exposure.days_materialised == 2

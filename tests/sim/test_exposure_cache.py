@@ -42,7 +42,7 @@ class TestBundleLayout:
     def test_bundle_is_a_directory_with_meta_store_and_shards(self, tmp_path):
         config, obs_seed = _key()
         exposure = ExposureEngine().get(config, obs_seed, days=3)
-        path = exposure_cache.save_exposure(exposure, tmp_path, shard_days=2)
+        path = exposure_cache.save_exposure(exposure, tmp_path)
         assert path.is_dir()
         meta = exposure_cache.read_meta(path)
         assert meta["format_version"] == exposure_cache.FORMAT_VERSION
@@ -97,8 +97,12 @@ class TestRoundTrip:
     def test_roundtrip_across_shard_boundaries(self, tmp_path):
         config, obs_seed = _key(days=7)
         exposure = ExposureEngine().get(config, obs_seed, days=7)
-        path = exposure_cache.save_exposure(exposure, tmp_path, shard_days=3)
-        restored = exposure_cache.load_exposure(path)
+        # A shard size other than the default: the reader follows meta.json.
+        writer = exposure_cache.BundleWriter(tmp_path, config, obs_seed, shard_days=3)
+        for day in range(7):
+            writer.add_day(exposure.views[day], exposure._exposures[day])
+        writer.write_store(exposure.population.columns)
+        restored = exposure_cache.load_exposure(writer.finalise())
         assert restored.day_shard_size == 3
         # Access out of order so the reader's shard window has to rotate.
         for day in (6, 0, 4, 2, 5, 1, 3):
@@ -151,7 +155,7 @@ class TestRoundTrip:
         config, obs_seed = _key(days=6)
         exposure = ExposureEngine().get(config, obs_seed, days=6)
         restored = exposure_cache.load_exposure(
-            exposure_cache.save_exposure(exposure, tmp_path, shard_days=2)
+            exposure_cache.save_exposure(exposure, tmp_path)
         )
         _ = restored.views[0], restored.views[1]
         restored.release_day_state(2)
@@ -257,10 +261,14 @@ class TestEngineIntegration:
         ExposureEngine().get(config, obs_seed, days=2)
         assert not list(tmp_path.iterdir())
 
-    def test_synchronous_writes_land_before_get_returns(self, tmp_path):
+    def test_flush_joins_the_background_write(self, tmp_path):
         config, obs_seed = _key()
-        engine = ExposureEngine(cache_dir=tmp_path, background_writes=False)
+        engine = ExposureEngine(cache_dir=tmp_path)
         engine.get(config, obs_seed, days=2)
+        ((thread, days),) = engine._pending.values()
+        assert thread.name == "repro-exposure-persist" and days == 2
+        engine.flush()
+        assert not thread.is_alive() and not engine._pending
         path = exposure_cache.cache_path(tmp_path, config, obs_seed)
         assert exposure_cache._is_bundle(path)
 
@@ -302,9 +310,7 @@ class TestOutOfCoreBackend:
 
     def test_miss_builds_a_streamed_entry(self, tmp_path):
         config, obs_seed = _key(days=5)
-        engine = ExposureEngine(
-            cache_dir=tmp_path, backend="out_of_core", shard_days=2
-        )
+        engine = ExposureEngine(cache_dir=tmp_path, backend="out_of_core")
         entry = engine.get(config, obs_seed, days=5)
         assert isinstance(entry, CachedExposure)
         assert entry.days_materialised == 5
@@ -317,9 +323,9 @@ class TestOutOfCoreBackend:
     def test_out_of_core_matches_in_memory_bit_for_bit(self, tmp_path):
         config, obs_seed = _key(days=5)
         mem = ExposureEngine().get(config, obs_seed, days=5)
-        ooc = ExposureEngine(
-            cache_dir=tmp_path, backend="out_of_core", shard_days=2
-        ).get(config, obs_seed, days=5)
+        ooc = ExposureEngine(cache_dir=tmp_path, backend="out_of_core").get(
+            config, obs_seed, days=5
+        )
         for day in range(5):
             a, b = mem.views[day].columns, ooc.views[day].columns
             np.testing.assert_array_equal(a.indices, b.indices)
@@ -429,20 +435,19 @@ class TestCacheBudget:
     def test_engine_enforces_budget_after_save(self, tmp_path):
         config_a, seed_a = _key(seed=1)
         config_b, seed_b = _key(seed=2)
-        probe = ExposureEngine(cache_dir=tmp_path, background_writes=False)
+        probe = ExposureEngine(cache_dir=tmp_path)
         probe.get(config_a, seed_a, days=1)
+        probe.flush()
         bundle_bytes = exposure_cache.bundle_size(
             exposure_cache.cache_path(tmp_path, config_a, seed_a)
         )
         exposure_cache.clear_cache(tmp_path)
 
-        engine = ExposureEngine(
-            cache_dir=tmp_path,
-            background_writes=False,
-            max_bytes=int(bundle_bytes * 1.5),
-        )
+        engine = ExposureEngine(cache_dir=tmp_path, max_bytes=int(bundle_bytes * 1.5))
         engine.get(config_a, seed_a, days=1)
+        engine.flush()
         engine.get(config_b, seed_b, days=1)
+        engine.flush()
         bundles = [p for p in tmp_path.iterdir() if exposure_cache._is_bundle(p)]
         # Only the most recent bundle fits the budget.
         assert len(bundles) == 1
@@ -454,8 +459,9 @@ class TestCorruptBundles:
         """A bundle with a torn shard file (e.g. a killed copy) must degrade
         to a rebuild, not raise on load."""
         config, obs_seed = _key()
-        engine = ExposureEngine(cache_dir=tmp_path, background_writes=False)
+        engine = ExposureEngine(cache_dir=tmp_path)
         engine.get(config, obs_seed, days=2)
+        engine.flush()
         path = exposure_cache.cache_path(tmp_path, config, obs_seed)
         shard_file = path / "days-00000" / "indices.bin"
         shard_file.write_bytes(shard_file.read_bytes()[:-4])
@@ -467,9 +473,9 @@ class TestCorruptBundles:
 
     def test_missing_store_file_is_a_miss(self, tmp_path):
         config, obs_seed = _key()
-        ExposureEngine(cache_dir=tmp_path, background_writes=False).get(
-            config, obs_seed, days=2
-        )
+        seeder = ExposureEngine(cache_dir=tmp_path)
+        seeder.get(config, obs_seed, days=2)
+        seeder.flush()
         path = exposure_cache.cache_path(tmp_path, config, obs_seed)
         (path / "store" / "tier_code.bin").unlink()
         fresh = ExposureEngine(cache_dir=tmp_path)
@@ -479,9 +485,9 @@ class TestCorruptBundles:
 
     def test_stale_format_version_is_a_miss(self, tmp_path):
         config, obs_seed = _key()
-        ExposureEngine(cache_dir=tmp_path, background_writes=False).get(
-            config, obs_seed, days=2
-        )
+        seeder = ExposureEngine(cache_dir=tmp_path)
+        seeder.get(config, obs_seed, days=2)
+        seeder.flush()
         path = exposure_cache.cache_path(tmp_path, config, obs_seed)
         meta = exposure_cache.read_meta(path)
         meta["format_version"] = 1
@@ -515,16 +521,17 @@ class TestCorruptBundles:
         gets deleted, and the rebuild writes a healthy replacement that the
         next engine restores from disk."""
         config, obs_seed = _key()
-        ExposureEngine(cache_dir=tmp_path, background_writes=False).get(
-            config, obs_seed, days=2
-        )
+        seeder = ExposureEngine(cache_dir=tmp_path)
+        seeder.get(config, obs_seed, days=2)
+        seeder.flush()
         path = exposure_cache.cache_path(tmp_path, config, obs_seed)
         shard_file = path / "days-00000" / "indices.bin"
         shard_file.write_bytes(b"\x00" * 3)
 
-        engine = ExposureEngine(cache_dir=tmp_path, background_writes=False)
+        engine = ExposureEngine(cache_dir=tmp_path)
         with caplog.at_level(logging.WARNING, logger="repro.sim.exposure_cache"):
             engine.get(config, obs_seed, days=2)
+        engine.flush()
         assert any(
             "evicting corrupt exposure cache entry" in record.message
             for record in caplog.records

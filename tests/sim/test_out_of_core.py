@@ -13,22 +13,15 @@ import pytest
 from repro.core import run_scenario
 from repro.core.campaign import run_main_campaign
 from repro.core.reporting import render_campaign_summary, render_table1
-from repro.sim import exposure as exposure_mod
 from repro.sim.columns import MemmapPeerColumns, PeerColumns
-from repro.sim.exposure import (
-    AUTO_WORKER_MONITOR_CROSSOVER,
-    ExposureEngine,
-    parse_byte_size,
-)
+from repro.sim.exposure import ExposureEngine, parse_byte_size
 from repro.sim.population import I2PPopulation, PopulationConfig
 
 
 def _engines(tmp_path):
     return (
         ExposureEngine(),
-        ExposureEngine(
-            cache_dir=tmp_path / "ooc", backend="out_of_core", shard_days=3
-        ),
+        ExposureEngine(cache_dir=tmp_path / "ooc", backend="out_of_core"),
     )
 
 
@@ -156,57 +149,36 @@ class TestMemmapPeerColumns:
             store.records_by_country
 
 
-class TestAutoWorkerPolicy:
-    def test_single_cpu_never_uses_the_pool(self, monkeypatch):
-        monkeypatch.setattr(exposure_mod, "_available_cpus", lambda: 1)
-        assert exposure_mod._auto_workers(1000) == 0
+class TestRestoredAddressDecoding:
+    def test_analyses_decode_each_days_addresses_at_most_once(
+        self, tmp_path, monkeypatch
+    ):
+        """Every monitor's lazy IP set for a day shares one decode of that
+        day's address columns."""
+        from collections import Counter
 
-    def test_small_fleet_stays_serial_even_with_cpus(self, monkeypatch):
-        monkeypatch.setattr(exposure_mod, "_available_cpus", lambda: 8)
-        assert (
-            exposure_mod._auto_workers(AUTO_WORKER_MONITOR_CROSSOVER - 1) == 0
-        )
+        from repro.core.blocking import blocking_curve
+        from repro.core.bridges import bridge_pool_summary, bridge_survival_curve
+        from repro.core.campaign import campaign_observation_seed
 
-    def test_large_fleet_enables_the_pool_on_multicore(self, monkeypatch):
-        monkeypatch.setattr(exposure_mod, "_available_cpus", lambda: 4)
-        assert (
-            exposure_mod._auto_workers(AUTO_WORKER_MONITOR_CROSSOVER) == 4
-        )
+        days, seed = 6, 16
+        engine = ExposureEngine(cache_dir=tmp_path, backend="out_of_core")
+        result = run_main_campaign(days=days, scale=0.02, seed=seed, engine=engine)
+        exposure = engine.get(result.config.population, campaign_observation_seed(seed))
+        reader = exposure._reader
+        day_array = reader.day_array
+        reads = Counter()
 
-    def test_worker_count_is_capped(self, monkeypatch):
-        monkeypatch.setattr(exposure_mod, "_available_cpus", lambda: 64)
-        assert exposure_mod._auto_workers(1000) == 8
+        def counting_day_array(day, column):
+            reads[day, column] += 1
+            return day_array(day, column)
 
-    def test_env_override_wins_over_auto(self, monkeypatch):
-        monkeypatch.setattr(exposure_mod, "_available_cpus", lambda: 8)
-        monkeypatch.setenv("REPRO_EXPOSURE_WORKERS", "0")
-        assert exposure_mod._env_workers() == 0
-        monkeypatch.setenv("REPRO_EXPOSURE_WORKERS", "3")
-        assert exposure_mod._env_workers() == 3
-
-    def test_bad_env_worker_count_is_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXPOSURE_WORKERS", "-1")
-        with pytest.raises(ValueError, match="REPRO_EXPOSURE_WORKERS"):
-            exposure_mod._env_workers()
-        monkeypatch.setenv("REPRO_EXPOSURE_WORKERS", "many")
-        with pytest.raises(ValueError, match="REPRO_EXPOSURE_WORKERS"):
-            exposure_mod._env_workers()
-
-    def test_pooled_prefetch_matches_serial(self, tmp_path):
-        from repro.core.campaign import scaled_population_config, standard_monitor_fleet
-
-        config = scaled_population_config(0.02, days=3, seed=31)
-        serial = ExposureEngine().get(config, 7, days=3)
-        pooled = ExposureEngine().get(config, 7, days=3)
-        fleet = standard_monitor_fleet(3, 3, 512.0)
-        serial.prefetch_masks(fleet, 3, workers=0)
-        pooled.prefetch_masks(fleet, 3, workers=2)
-        for spec in fleet:
-            for day in range(3):
-                np.testing.assert_array_equal(
-                    serial.monitor_day_mask(spec, day),
-                    pooled.monitor_day_mask(spec, day),
-                )
+        monkeypatch.setattr(reader, "day_array", counting_day_array)
+        blocking_curve(result)
+        bridge_pool_summary(result)
+        bridge_survival_curve(result)
+        assert {day for day, column in reads if column == "ip"} == set(range(days))
+        assert max(reads.values()) == 1
 
 
 class TestParseByteSize:
@@ -231,16 +203,3 @@ class TestParseByteSize:
     def test_rejected_forms(self, text):
         with pytest.raises(ValueError, match="test"):
             parse_byte_size(text, "test")
-
-    def test_env_budget_reaches_the_engine(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "2G")
-        engine = ExposureEngine(cache_dir=tmp_path)
-        assert engine.max_bytes == 2 * 1024**3
-
-    def test_env_shard_days_reaches_the_engine(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_SHARD_DAYS", "5")
-        engine = ExposureEngine(cache_dir=tmp_path)
-        assert engine.shard_days == 5
-        monkeypatch.setenv("REPRO_CACHE_SHARD_DAYS", "0")
-        with pytest.raises(ValueError, match="REPRO_CACHE_SHARD_DAYS"):
-            ExposureEngine(cache_dir=tmp_path)

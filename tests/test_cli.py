@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _make_engine, build_parser, main
 
 
 class TestParser:
@@ -245,6 +245,13 @@ class TestExposureBackendFlag:
         assert main(["cache", "ls"]) == 0
         assert "1 entr" in capsys.readouterr().out
 
+    def test_cache_max_bytes_env_reaches_the_engine(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "2G")
+        args = build_parser().parse_args(["run", "bandwidth_sweep"])
+        assert _make_engine(args).max_bytes == 2 * 1024**3
+        argv = ["--cache-max-bytes", "1G", "run", "bandwidth_sweep"]
+        assert _make_engine(build_parser().parse_args(argv)).max_bytes == 1024**3
+
     def test_bad_cache_max_bytes_is_rejected(self):
         argv = ["--cache-max-bytes", "lots", "run", "bandwidth_sweep", "--days", "2"]
         with pytest.raises(ValueError, match="cache-max-bytes"):
@@ -283,6 +290,21 @@ class TestRunCommandErrors:
         captured = capsys.readouterr()
         assert exit_code == 2
         assert captured.err.strip() == "router count must be at least 2"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--scale", "0", "run", "main_campaign", "--days", "2"],
+            ["--scale", "-1", "run", "bandwidth_sweep"],
+            ["--scale", "nan", "run", "netdb-scale"],
+            ["--scale", "0", "grid", "plan", "main_campaign"],
+        ],
+    )
+    def test_non_positive_scale_fails_cleanly(self, capsys, argv):
+        exit_code = main(argv)
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.strip() == "scale must be positive"
 
 
 class TestRunNetDbScale:
@@ -399,17 +421,25 @@ class TestGeoCommand:
         assert payload["asn"] == 7922
         assert payload["prefix"] == "24.0.0.0/16"
         assert payload["provider"] == "range-db"
-        assert payload["tier"] in {"provider", "memory", "disk"}
+        assert "tier" not in payload
 
-    def test_lookup_hits_disk_cache_on_second_invocation(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    def test_lookup_follows_a_swapped_geo_db_in_the_same_cache_dir(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        source = tmp_path / "swapped.csv"
+        source.write_text("prefix,country,asn\n24.0.0.0/16,RU,65001\n")
+        swapped = tmp_path / "swapped.db"
+        assert main(["geo", "build-db", str(source), str(swapped)]) == 0
+        capsys.readouterr()
         assert main(["geo", "lookup", "24.0.1.1", "--json"]) == 0
         first = json.loads(capsys.readouterr().out)
-        assert main(["geo", "lookup", "24.0.1.1", "--json"]) == 0
+        argv = ["--geo-db", str(swapped), "geo", "lookup", "24.0.1.1", "--json"]
+        assert main(argv) == 0
         second = json.loads(capsys.readouterr().out)
-        assert first["tier"] == "provider"
-        assert second["tier"] == "disk"
-        assert (first["country"], first["asn"]) == (second["country"], second["asn"])
+        assert (first["country"], first["asn"]) == ("US", 7922)
+        assert (second["country"], second["asn"]) == ("RU", 65001)
+        assert second["provider"] == "range-db"
 
     def test_lookup_invalid_ip_fails_cleanly(self, capsys):
         exit_code = main(["geo", "lookup", "not-an-ip"])

@@ -11,13 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import (
-    _parse_shard_days,
-    _parse_workers,
-    build_parser,
-    main,
-    resolve_option,
-)
+from repro.cli import _parse_workers, build_parser, main, resolve_option
 
 
 class TestResolveOption:
@@ -66,14 +60,6 @@ class TestEnvParsers:
 
     def test_workers_accepts_positive(self):
         assert _parse_workers("3") == 3
-
-    @pytest.mark.parametrize("raw", ["0", "-2", "week"])
-    def test_shard_days_rejects_non_positive(self, raw):
-        with pytest.raises(ValueError, match="REPRO_CACHE_SHARD_DAYS"):
-            _parse_shard_days(raw)
-
-    def test_shard_days_accepts_positive(self):
-        assert _parse_shard_days("8") == 8
 
 
 @pytest.fixture()

@@ -25,7 +25,7 @@ class TestRunBudgetedCampaign:
     def test_backends_agree_on_the_summary_digest(self, tmp_path):
         reference = run_budgeted_campaign(backend="in-memory", **TOY)
         restored = run_budgeted_campaign(
-            backend="out-of-core", cache_dir=tmp_path, shard_days=2, **TOY
+            backend="out-of-core", cache_dir=tmp_path, **TOY
         )
         assert restored["backend"] == "out_of_core"
         assert restored["summary_sha256"] == reference["summary_sha256"]
