@@ -14,7 +14,7 @@ Scale knobs (environment variables):
 
 Each benchmark prints the regenerated rows/series (visible with ``-s`` or
 in the captured output section) so the shapes can be compared against the
-paper; EXPERIMENTS.md records a reference run.
+paper.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Unlike the figure benchmarks (which default to ``REPRO_BENCH_SCALE=0.1``),
 this module always runs the main campaign at **scale 1.0** (~30.5K daily
 peers) for 10 days, because the columnar engine's whole point is that full
-scale is affordable.  It writes ``BENCH_campaign.json`` at the repository
-root with:
+scale is affordable.  A passing run writes its record to
+``.benchmarks/BENCH_campaign.json`` (git-ignored) with:
 
 * ``campaign_wall_seconds`` — wall time of the 20-router main campaign
   (10 days, scale 1.0, daily IPs + victim client) on a cold exposure
@@ -67,6 +67,11 @@ committed ``BENCH_campaign.json`` recorded a throughput more than 20 %
 above the current run's best-of-``CAMPAIGN_REPETITIONS``, the benchmark
 fails loudly — the trajectory from PR to PR must stay monotone on
 comparable hardware.
+
+The committed ``BENCH_campaign.json`` at the repository root is that
+baseline, read through ``git show HEAD:BENCH_campaign.json``.  No run
+rewrites it: the baseline moves only when someone copies a run record
+over it and commits the copy.
 """
 
 import json
@@ -112,14 +117,15 @@ REGRESSION_TOLERANCE = 0.20
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _BENCH_PATH = os.path.join(_REPO_ROOT, "BENCH_campaign.json")
+_RECORD_PATH = os.path.join(_REPO_ROOT, ".benchmarks", "BENCH_campaign.json")
 
 
 def _previous_payload():
     """The *committed* benchmark baseline.
 
     Read from git so repeated local runs compare against the same floor
-    (the file on disk is rewritten by every successful run); falls back to
-    the on-disk file outside a git checkout.
+    even when the working copy was edited; falls back to the on-disk file
+    outside a git checkout.
     """
     import subprocess
 
@@ -658,9 +664,10 @@ def test_perf_budget(tmp_path):
     # And the large run must still be making real progress, not thrashing.
     assert budget["out_of_core_large"]["peer_days_per_second"] > 10_000
 
-    # Persist only after every assertion passed: a failing run must not
-    # replace the committed baseline (or a re-run would silently ratchet
-    # the regression guard down to the regressed numbers).
-    with open(_BENCH_PATH, "w") as handle:
+    # Record only after every assertion passed.  The record never replaces
+    # the committed baseline, so a re-run cannot ratchet the regression
+    # guard to whatever this run measured.
+    os.makedirs(os.path.dirname(_RECORD_PATH), exist_ok=True)
+    with open(_RECORD_PATH, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -802,6 +802,23 @@ def _usage_error(error: BaseException) -> int:
     return 2
 
 
+#: Commands that run a campaign: they share one check of ``--scale`` and
+#: ``--days`` before anything is built.
+_CAMPAIGN_COMMANDS = ("measure", "calibrate", "censor", "suite", "run")
+
+
+def _campaign_input_error(args: argparse.Namespace) -> Optional[str]:
+    """The usage error in a campaign command's ``--scale`` / ``--days``."""
+    if args.command not in _CAMPAIGN_COMMANDS:
+        return None
+    if not args.scale > 0:  # also rejects NaN
+        return "scale must be positive"
+    days = getattr(args, "days", None)
+    if days is not None and days <= 0:
+        return "days must be positive"
+    return None
+
+
 def _cmd_grid(args: argparse.Namespace) -> int:
     import json as _json
 
@@ -1097,6 +1114,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handler = commands.get(args.command)
     if handler is None:
         parser.error(f"unknown command {args.command!r}")
+        return 2
+    input_error = _campaign_input_error(args)
+    if input_error is not None:
+        print(input_error, file=sys.stderr)
         return 2
     provider = None
     building_db = args.command == "geo" and args.geo_action == "build-db"

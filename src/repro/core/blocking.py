@@ -13,6 +13,12 @@ The *blocking rate* is the fraction of the victim's known peer IPs that
 also appear in the censor's blacklist — precisely the paper's metric
 ("the rate of peer IP addresses seen in the netDb of the victim, which can
 also be found in the netDb of routers that are controlled by the censor").
+
+Addresses are integer keys (:mod:`repro.sim.addresses`): the victim's
+netDb is a sorted key array, and a censor's blacklist is evaluated as a
+boolean mask over those keys (:func:`censor_coverage`), never as a set of
+strings.  :func:`censor_blacklist` and :func:`victim_known_ips` format
+strings for callers that want them.
 """
 
 from __future__ import annotations
@@ -23,18 +29,20 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..analysis.series import FigureData
-from ..enrichment.base import GeoProvider, ipv4_to_int
+from ..enrichment.base import GeoProvider
 from ..enrichment.provider import resolve_provider
 from ..enrichment.radix import PrefixIndex
+from ..sim.addresses import IPV6_KEY_BASE, format_addresses
 from ..sim.geo import GeoRegistry
 from .campaign import CampaignResult
-from .monitor import MonitoringRouter
+from .monitor import MonitoringRouter, day_coverage
 
 __all__ = [
     "BlockingAssessment",
     "CensorProfile",
     "blocking_rate",
     "censor_blacklist",
+    "censor_coverage",
     "victim_known_ips",
     "blocking_assessment",
     "blocking_curve",
@@ -70,11 +78,54 @@ def censor_blacklist(
 ) -> Set[str]:
     """The censor's blacklist using its first ``router_count`` routers and a
     ``window_days``-day retention window ending on ``evaluation_day``."""
+    keys = _censor_keys(monitors, router_count, evaluation_day, window_days)
+    return set(format_addresses(keys).tolist())
+
+
+def _censor_keys(
+    monitors: Sequence[MonitoringRouter],
+    router_count: int,
+    evaluation_day: int,
+    window_days: int,
+) -> np.ndarray:
+    """:func:`censor_blacklist` as sorted unique address keys."""
     _validate_router_count(monitors, router_count)
-    blacklist: Set[str] = set()
-    for monitor in monitors[:router_count]:
-        blacklist.update(monitor.ips_in_window(evaluation_day, window_days))
-    return blacklist
+    censors = monitors[:router_count]
+    windows = [m.keys_in_window(evaluation_day, window_days) for m in censors]
+    return np.unique(np.concatenate(windows))
+
+
+def _daily_coverage(
+    monitors: Sequence[MonitoringRouter],
+    evaluation_day: int,
+    window_days: int,
+    subject: np.ndarray,
+) -> Dict[int, np.ndarray]:
+    """Per day of the window: which ``subject`` keys each monitor observed
+    (``(len(monitors), subject.size)`` boolean matrices)."""
+    days = set()
+    for monitor in monitors:
+        days.update(monitor.window_range(evaluation_day, window_days))
+    sets = [monitor.daily_ip_sets for monitor in monitors]
+    return {day: day_coverage(sets, day, subject) for day in sorted(days)}
+
+
+def censor_coverage(
+    monitors: Sequence[MonitoringRouter],
+    router_count: int,
+    evaluation_day: int,
+    window_days: int,
+    subject: np.ndarray,
+) -> np.ndarray:
+    """Which of the sorted unique ``subject`` keys :func:`censor_blacklist`
+    holds, as a boolean mask over ``subject``."""
+    _validate_router_count(monitors, router_count)
+    covered = np.zeros(subject.size, dtype=bool)
+    for per_monitor in _daily_coverage(
+        monitors[:router_count], evaluation_day, window_days, subject
+    ).values():
+        covered |= np.logical_or.reduce(per_monitor, axis=0)
+    return covered
 
 
 def victim_known_ips(
@@ -125,19 +176,17 @@ def blocking_assessment(
         raise ValueError("the campaign was run without a victim client")
     if evaluation_day is None:
         evaluation_day = len(result.log.daily) - 1
-    censor_ips = censor_blacklist(
-        result.monitors, router_count, evaluation_day, window_days
-    )
-    victim_ips = victim_known_ips(result.victim, evaluation_day, victim_history_days)
-    blocked = censor_ips & victim_ips
+    censor = _censor_keys(result.monitors, router_count, evaluation_day, window_days)
+    victim = result.victim.keys_in_window(evaluation_day, victim_history_days)
+    blocked = int(np.count_nonzero(np.isin(victim, censor, assume_unique=True)))
     return BlockingAssessment(
         router_count=router_count,
         window_days=window_days,
         evaluation_day=evaluation_day,
-        censor_ip_count=len(censor_ips),
-        victim_ip_count=len(victim_ips),
-        blocked_ip_count=len(blocked),
-        rate=blocking_rate(censor_ips, victim_ips),
+        censor_ip_count=int(censor.size),
+        victim_ip_count=int(victim.size),
+        blocked_ip_count=blocked,
+        rate=blocked / victim.size if victim.size else 0.0,
     )
 
 
@@ -150,9 +199,12 @@ def blocking_curve(
 ) -> FigureData:
     """Figure 13: blocking rate vs censor routers, one series per window.
 
-    Blacklists are accumulated incrementally in fleet order, so evaluating
-    N router counts costs one window union per monitor instead of N;
-    points are emitted in the caller's ``router_counts`` order.
+    Each (monitor, day) is matched against the victim's address keys once;
+    a window ORs its days, and the blacklists of growing router counts are
+    the running OR down the fleet, so N router counts cost no more than
+    one.  A window longer than the recorded history uses whatever history
+    exists (a censor that started collecting late).  Points are emitted in
+    the caller's ``router_counts`` order.
     """
     if result.victim is None:
         raise ValueError("the campaign was run without a victim client")
@@ -160,12 +212,8 @@ def blocking_curve(
         router_counts = list(range(1, len(result.monitors) + 1))
     if evaluation_day is None:
         evaluation_day = len(result.log.daily) - 1
-    max_window = max(windows)
-    if evaluation_day + 1 < max_window:
-        # Not enough history for the longest window; windows simply use
-        # whatever history exists (same behaviour as a censor that started
-        # collecting late).
-        pass
+    if min(windows) <= 0:
+        raise ValueError("window_days must be positive")
 
     figure = FigureData(
         figure_id="figure_13",
@@ -173,29 +221,29 @@ def blocking_curve(
         x_label="routers under censor control",
         y_label="blocking rate (%)",
     )
-    victim_ips = victim_known_ips(result.victim, evaluation_day, victim_history_days)
+    victim_keys = result.victim.keys_in_window(evaluation_day, victim_history_days)
+    total = int(victim_keys.size)
     figure.add_note(
-        f"victim netDb: {len(victim_ips)} peer IPs "
+        f"victim netDb: {total} peer IPs "
         f"(history window {victim_history_days} days, evaluation day {evaluation_day + 1})"
     )
     counts = [int(count) for count in router_counts]
     for count in counts:
         _validate_router_count(result.monitors, count)
-    wanted = set(counts)
     max_count = max(counts, default=0)
+    per_day = _daily_coverage(
+        result.monitors[:max_count], evaluation_day, max(windows), victim_keys
+    )
     for window in windows:
         series = figure.new_series(f"{window} day" + ("s" if window > 1 else ""))
-        # Stream the blacklist incrementally: each additional censor router
-        # adds its window union once, instead of rebuilding the full union
-        # from scratch at every router count.
-        blacklist: Set[str] = set()
-        rates: Dict[int, float] = {}
-        for count, monitor in enumerate(result.monitors[:max_count], start=1):
-            blacklist |= monitor.ips_in_window(evaluation_day, window)
-            if count in wanted:
-                rates[count] = blocking_rate(blacklist, victim_ips) * 100.0
+        covered = np.zeros((max_count, total), dtype=bool)
+        for day, per_monitor in per_day.items():
+            if day > evaluation_day - window:
+                covered |= per_monitor
+        blocked = np.count_nonzero(np.logical_or.accumulate(covered, axis=0), axis=1)
         for count in counts:
-            series.add(count, rates[count])
+            rate = int(blocked[count - 1]) / total if total else 0.0
+            series.add(count, rate * 100.0)
     return figure
 
 
@@ -314,16 +362,12 @@ def prefix_blocking_curve(
     if evaluation_day is None:
         evaluation_day = len(result.log.daily) - 1
     profiles = censor_profiles(countries, registry, provider)
-    victim_ips = victim_known_ips(result.victim, evaluation_day, victim_history_days)
-    total = len(victim_ips)
+    victim_keys = result.victim.keys_in_window(evaluation_day, victim_history_days)
+    total = int(victim_keys.size)
     # IPv6 addresses fall outside an IPv4 prefix block: they stay reachable
-    # and only contribute to the denominator.
-    addr_values = [
-        value
-        for value in (ipv4_to_int(ip) for ip in sorted(victim_ips))
-        if value is not None
-    ]
-    addrs = np.asarray(addr_values, dtype=np.uint32)
+    # and only contribute to the denominator.  An IPv4 key is the address's
+    # 32-bit value.
+    addrs = victim_keys[victim_keys < IPV6_KEY_BASE].astype(np.uint32)
 
     figure = FigureData(
         figure_id="scenario_prefix_blocking",

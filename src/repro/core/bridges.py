@@ -16,10 +16,12 @@ finished measurement campaign:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional
+
+import numpy as np
 
 from ..analysis.series import FigureData
-from .blocking import censor_blacklist
+from .blocking import censor_coverage
 from .campaign import CampaignResult
 
 __all__ = [
@@ -81,43 +83,47 @@ def bridge_pool_summary(
     The candidate pool is assessed against the *union* of all monitoring
     observations for that day (the best available approximation of the
     daily online population), while the censor uses only its first
-    ``censor_routers`` routers and its blacklist window.  The per-peer
-    walk streams off the observation log's accumulator arrays
-    (:meth:`ObservationLog.known_ip_presence_on`); no per-peer aggregates
-    are materialised for columnar runs.
+    ``censor_routers`` routers and its blacklist window.  A peer is
+    blocked when any address it was ever observed with is blacklisted;
+    the per-peer walk is a scatter over the observation log's address-key
+    columns (:meth:`ObservationLog.known_ip_keys`), so no
+    per-peer aggregates are materialised for columnar runs.
     """
     if evaluation_day is None:
         evaluation_day = len(result.log.daily) - 1
-    blacklist = censor_blacklist(
-        result.monitors, censor_routers, evaluation_day, blacklist_window_days
+    first_days, owners, keys = result.log.known_ip_keys(evaluation_day)
+    subject, inverse = np.unique(keys, return_inverse=True)
+    listed = censor_coverage(
+        result.monitors,
+        censor_routers,
+        evaluation_day,
+        blacklist_window_days,
+        subject,
     )
-
-    unblocked = 0
-    unblocked_new = 0
-    unblocked_old = 0
     firewalled_pool = result.log.daily[evaluation_day].firewalled_peers
 
-    first_days, address_sets = result.log.known_ip_presence_on(evaluation_day)
-    total_known_ip = len(address_sets)
-    for first_day, peer_ips in zip(first_days.tolist(), address_sets):
-        if peer_ips & blacklist:
-            continue
-        unblocked += 1
-        if evaluation_day - first_day <= new_peer_age_days:
-            unblocked_new += 1
-        else:
-            unblocked_old += 1
-
+    unblocked = ~_blocked_peers(first_days.size, owners, listed[inverse])
+    new = evaluation_day - first_days <= new_peer_age_days
     return BridgePoolSummary(
         evaluation_day=evaluation_day,
         censor_routers=censor_routers,
         blacklist_window_days=blacklist_window_days,
-        total_online_known_ip=total_known_ip,
-        unblocked_known_ip=unblocked,
-        unblocked_newly_joined=unblocked_new,
-        unblocked_long_lived=unblocked_old,
+        total_online_known_ip=int(first_days.size),
+        unblocked_known_ip=int(np.count_nonzero(unblocked)),
+        unblocked_newly_joined=int(np.count_nonzero(unblocked & new)),
+        unblocked_long_lived=int(np.count_nonzero(unblocked & ~new)),
         firewalled_pool=firewalled_pool,
     )
+
+
+def _blocked_peers(
+    peers: int, owners: np.ndarray, key_listed: np.ndarray
+) -> np.ndarray:
+    """Per peer: whether any of its keys is listed (``key_listed`` is
+    aligned with ``owners``)."""
+    blocked = np.zeros(peers, dtype=bool)
+    blocked[owners[key_listed]] = True
+    return blocked
 
 
 def bridge_survival_curve(
@@ -131,13 +137,16 @@ def bridge_survival_curve(
 
     The cohort is the set of peers first observed on ``cohort_day``; for
     each subsequent day the curve reports the fraction of the cohort whose
-    addresses are still absent from the censor's blacklist.
+    addresses are still absent from the censor's blacklist.  Each day's
+    blacklist coverage of the cohort's addresses is computed once and
+    every survival day ORs the days of its window.
     """
     if cohort_day is None:
         cohort_day = max(0, len(result.log.daily) - horizon_days - 1)
     last_day = min(len(result.log.daily) - 1, cohort_day + horizon_days)
 
-    cohort: List[Set[str]] = result.log.known_ip_cohort_addresses(cohort_day)
+    first_days, owners, keys = result.log.known_ip_keys(cohort_day, first_seen=True)
+    cohort = int(first_days.size)
     figure = FigureData(
         figure_id="ablation_bridges",
         title="Survival of newly joined peers as censorship bridges",
@@ -149,14 +158,20 @@ def bridge_survival_curve(
         figure.add_note("empty cohort: no newly joined peers on the cohort day")
         return figure
 
+    subject, inverse = np.unique(keys, return_inverse=True)
+    listed_on = {
+        day: censor_coverage(result.monitors, censor_routers, day, 1, subject)
+        for day in range(max(0, cohort_day - blacklist_window_days + 1), last_day + 1)
+    }
     for day in range(cohort_day, last_day + 1):
-        blacklist = censor_blacklist(
-            result.monitors, censor_routers, day, blacklist_window_days
-        )
-        surviving = sum(1 for peer_ips in cohort if not (peer_ips & blacklist))
-        series.add(day - cohort_day, surviving / len(cohort) * 100.0)
+        listed = np.zeros(subject.size, dtype=bool)
+        for window_day in range(max(0, day - blacklist_window_days + 1), day + 1):
+            listed |= listed_on[window_day]
+        blocked = _blocked_peers(cohort, owners, listed[inverse])
+        surviving = cohort - int(np.count_nonzero(blocked))
+        series.add(day - cohort_day, surviving / cohort * 100.0)
     figure.add_note(
-        f"cohort: {len(cohort)} peers first observed on day {cohort_day + 1}; "
+        f"cohort: {cohort} peers first observed on day {cohort_day + 1}; "
         f"censor: {censor_routers} routers, {blacklist_window_days}-day blacklist"
     )
     return figure

@@ -19,15 +19,21 @@ Recording has two paths.  Columnar day views (the kind
 NumPy mask arithmetic: cumulative coverage is a boolean vector over the
 global peer index, daily statistics are ``count_nonzero`` over the day's
 masks, and per-peer address history is appended to a columnar *event log*
-(one row per IP-assignment capture, countries interned to integer codes)
-only when a peer's assignment *version* actually advanced.  Every figure
-analysis — longevity, churn, capacity, geography, population split,
-bridges, blocking — consumes the accumulator arrays directly through the
-``ObservationLog`` accessors; the per-peer
-:class:`PeerObservationAggregate` objects remain available as a lazily
-materialised compatibility view (:attr:`ObservationLog.peers`) for tests
-and external callers.  Snapshot-backed views fall back to the original
-row-oriented loop, which the equivalence tests use as the reference.
+(one row per IP-assignment capture: integer address keys, countries
+interned to integer codes) only when a peer's assignment *version*
+actually advanced.  Every figure analysis — longevity, churn, capacity,
+geography, population split, bridges, blocking — consumes the
+accumulator arrays directly through the ``ObservationLog`` accessors; the
+per-peer :class:`PeerObservationAggregate` objects remain available as a
+lazily materialised compatibility view (:attr:`ObservationLog.peers`) for
+tests and external callers.  Snapshot-backed views fall back to the
+original row-oriented loop, which the equivalence tests use as the
+reference.
+
+Addresses are integer keys (:mod:`repro.sim.addresses`) on every path:
+the monitors' daily address sets hold keys, and address strings are
+formatted only for output (:meth:`MonitoringRouter.ips_in_window`,
+``DailyIpSets[day]``, :attr:`ObservationLog.peers`).
 """
 
 from __future__ import annotations
@@ -38,10 +44,16 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
+from ..sim.addresses import address_key, format_address, format_addresses, key_positions
 from ..sim.columns import TIER_ORDER, PeerColumns
 from ..sim.observation import MonitorMode, MonitorSpec
 from ..sim.peer import PeerDaySnapshot
 from ..sim.population import DayView
+
+#: A day's address-key columns ``(addr4, addr6)``, or a loader of them.
+KeySource = Union[
+    Tuple[np.ndarray, np.ndarray], Callable[[], Tuple[np.ndarray, np.ndarray]]
+]
 
 __all__ = [
     "MonitoringRouter",
@@ -52,77 +64,105 @@ __all__ = [
 
 
 class DailyIpSets(Sequence):
-    """List-like container of per-day observed-IP sets, materialised lazily.
+    """List-like container of one monitor's per-day observed address keys.
 
-    The columnar recording path appends a *deferred* entry — the day's
-    shared IP/IPv6 arrays plus a bit-packed observation mask — instead of
-    hashing ~16K strings per monitor per day into a set nobody may ever
-    read.  Indexing materialises (and caches) the real ``Set[str]``, so
-    consumers like :meth:`MonitoringRouter.ips_in_window` see ordinary
-    sets.  The row-oriented path appends plain sets directly.
+    The columnar recording path appends a *deferred* entry per day — the
+    day's shared ``addr4`` / ``addr6`` key columns plus a bit-packed mask
+    of the rows observed with a usable address — so recording copies no
+    addresses.  The row-oriented path appends the day's sorted unique keys
+    directly.  :meth:`keys` resolves one day to sorted unique keys, and
+    :func:`day_coverage` matches many monitors' days against a sorted key
+    array without building per-day key sets at all.  Indexing returns the
+    day's addresses as a ``Set[str]``, formatted for output only.
     """
 
     def __init__(self) -> None:
         self._items: List[object] = []
 
-    def append(self, ip_set: Set[str]) -> None:
-        self._items.append(ip_set)
+    def append(self, keys: np.ndarray) -> None:
+        """A day's observed keys, sorted and unique (row-oriented path)."""
+        self._items.append(np.asarray(keys, dtype=np.int64))
 
     def append_deferred(
-        self,
-        ip_array: np.ndarray,
-        ipv6_array: np.ndarray,
-        packed_mask: np.ndarray,
-        count: int,
+        self, source: KeySource, packed_mask: np.ndarray, count: int
     ) -> None:
-        self._items.append((ip_array, ipv6_array, packed_mask, count))
+        """A day's deferred entry (columnar path).
 
-    def append_lazy(
-        self,
-        loader: Callable[[], Tuple[np.ndarray, np.ndarray]],
-        packed_mask: np.ndarray,
-        count: int,
-    ) -> None:
-        """Deferred entry for *streamed* (disk-backed) day views.
-
-        ``loader`` re-reads the day's IP/IPv6 arrays from the exposure
-        bundle on materialisation, so recording a day pins only the
-        bit-packed mask — not the decoded address columns — and a
-        100×-scale campaign's IP sets cost disk reads, not resident RAM.
+        ``source`` is the day's ``(addr4, addr6)`` key columns or, for a
+        streamed (disk-backed) view, a loader that reads them from the
+        exposure bundle when an analysis asks, so recording a day pins
+        only the bit-packed mask, not the day's columns.
         """
-        self._items.append((loader, packed_mask, count))
+        self._items.append((source, packed_mask, count))
 
-    def _materialise(self, index: int) -> Set[str]:
+    def keys(self, index: int) -> np.ndarray:
+        """Sorted unique address keys observed on day ``index``."""
         item = self._items[index]
-        if isinstance(item, set):
+        if isinstance(item, np.ndarray):
             return item
-        if len(item) == 3:  # type: ignore[arg-type]
-            loader, packed_mask, count = item  # type: ignore[misc]
-            ip_array, ipv6_array = loader()
-        else:
-            ip_array, ipv6_array, packed_mask, count = item  # type: ignore[misc]
+        source, packed_mask, count = item  # type: ignore[misc]
+        addr4, addr6 = _key_columns(source)
         mask = np.unpackbits(packed_mask, count=count).view(bool)
-        ips: Set[str] = set(ip_array[mask].tolist())
-        ipv6 = ipv6_array[mask]
-        ips.update(ipv6[np.not_equal(ipv6, None)].tolist())
-        ips.discard(None)  # type: ignore[arg-type]
-        self._items[index] = ips
-        return ips
+        keys = np.unique(np.concatenate((addr4[mask], addr6[mask])))
+        return keys[np.searchsorted(keys, 0) :]
 
     def __len__(self) -> int:
         return len(self._items)
 
     def __getitem__(self, index):  # type: ignore[override]
         if isinstance(index, slice):
-            return [self._materialise(i) for i in range(*index.indices(len(self)))]
+            return [self[i] for i in range(*index.indices(len(self)))]
         if index < 0:
             index += len(self._items)
         if not 0 <= index < len(self._items):
             raise IndexError("day index out of range")
-        return self._materialise(index)
+        return set(format_addresses(self.keys(index)).tolist())
 
     def __repr__(self) -> str:
         return f"DailyIpSets(days={len(self._items)})"
+
+
+def _key_columns(source: KeySource) -> Tuple[np.ndarray, np.ndarray]:
+    return source() if callable(source) else source
+
+
+def day_coverage(
+    sets: Sequence[DailyIpSets], day: int, subject: np.ndarray
+) -> np.ndarray:
+    """Which of the sorted unique ``subject`` keys each set observed on ``day``.
+
+    Returns a ``(len(sets), subject.size)`` boolean matrix (an all-false
+    row for a set that recorded no such day).  Deferred entries that share
+    the day's key columns — every monitor of one campaign does — locate
+    those columns in ``subject`` once; each set then only scatters its own
+    observed rows.
+    """
+    covered = np.zeros((len(sets), subject.size), dtype=bool)
+    #: id(addr4) → (addr4, its positions, addr6's positions); holding addr4
+    #: keeps its id from being reused while this call runs.
+    located: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    for row, daily in enumerate(sets):
+        if day >= len(daily):
+            continue
+        item = daily._items[day]
+        if isinstance(item, np.ndarray):
+            positions = key_positions(subject, item)
+            covered[row, positions[positions >= 0]] = True
+            continue
+        source, packed_mask, count = item  # type: ignore[misc]
+        addr4, addr6 = _key_columns(source)
+        columns = located.get(id(addr4))
+        if columns is None:
+            columns = located[id(addr4)] = (
+                addr4,
+                key_positions(subject, addr4),
+                key_positions(subject, addr6),
+            )
+        mask = np.unpackbits(packed_mask, count=count).view(bool)
+        for positions in columns[1:]:
+            hits = positions[mask]
+            covered[row, hits[hits >= 0]] = True
+    return covered
 
 
 def _observed_mask(view: DayView, observed: Union[np.ndarray, Iterable[int]]) -> np.ndarray:
@@ -222,16 +262,10 @@ class MonitoringRouter:
         self._cumulative_mask[observed_global] = True
         self.daily_observed_counts.append(int(observed_global.size))
         if self.collect_daily_ips:
-            selection = mask & cols.valid_ip
-            loader = getattr(view, "address_loader", None)
-            if loader is not None:
-                self.daily_ip_sets.append_lazy(
-                    loader, np.packbits(selection), cols.count
-                )
-            else:
-                self.daily_ip_sets.append_deferred(
-                    cols.ip, cols.ipv6, np.packbits(selection), cols.count
-                )
+            source = getattr(view, "address_loader", None) or (cols.addr4, cols.addr6)
+            self.daily_ip_sets.append_deferred(
+                source, np.packbits(mask & cols.valid_ip), cols.count
+            )
         if self.collect_daily_peers:
             self.daily_peer_sets.append(set(cols.peer_ids[mask].tolist()))
 
@@ -249,7 +283,9 @@ class MonitoringRouter:
         self._cumulative_ids.update(peer_ids)
         self.daily_observed_counts.append(len(peer_ids))
         if self.collect_daily_ips:
-            self.daily_ip_sets.append(ips)
+            self.daily_ip_sets.append(
+                np.unique(np.fromiter(map(address_key, ips), np.int64, len(ips)))
+            )
         if self.collect_daily_peers:
             self.daily_peer_sets.append(peer_ids)
 
@@ -258,19 +294,30 @@ class MonitoringRouter:
             return 0.0
         return float(np.mean(self.daily_observed_counts))
 
-    def ips_in_window(self, end_day_index: int, window_days: int) -> Set[str]:
-        """Union of IPs observed in the ``window_days`` days ending at
+    def window_range(self, end_day_index: int, window_days: int) -> range:
+        """The recorded day indices of the ``window_days`` days ending at
         ``end_day_index`` (inclusive).  Requires ``collect_daily_ips``."""
         if not self.collect_daily_ips:
             raise RuntimeError("daily IP collection was not enabled for this monitor")
         if window_days <= 0:
             raise ValueError("window_days must be positive")
         start = max(0, end_day_index - window_days + 1)
-        union: Set[str] = set()
-        for day_index in range(start, end_day_index + 1):
-            if day_index < len(self.daily_ip_sets):
-                union.update(self.daily_ip_sets[day_index])
-        return union
+        return range(start, min(end_day_index + 1, len(self.daily_ip_sets)))
+
+    def keys_in_window(self, end_day_index: int, window_days: int) -> np.ndarray:
+        """Sorted unique address keys observed in the ``window_days`` days
+        ending at ``end_day_index`` (inclusive)."""
+        days = self.window_range(end_day_index, window_days)
+        if not days:
+            return np.empty(0, dtype=np.int64)
+        return np.unique(
+            np.concatenate([self.daily_ip_sets.keys(day) for day in days])
+        )
+
+    def ips_in_window(self, end_day_index: int, window_days: int) -> Set[str]:
+        """:meth:`keys_in_window` as address strings (for output)."""
+        keys = self.keys_in_window(end_day_index, window_days)
+        return set(format_addresses(keys).tolist())
 
 
 @dataclass
@@ -398,9 +445,9 @@ class _LogAccumulator:
     per-peer dict of tuples: one row per (peer, IP-assignment version)
     capture, appended only when a peer is observed with a valid IP and a
     new assignment version, so the event count tracks rotations, not
-    peer-days.  Countries are interned to small integer codes
-    (``country_labels``) so the geography analyses reduce to
-    ``np.unique`` passes over integer keys.
+    peer-days.  Addresses are integer keys and countries are interned to
+    small integer codes (``country_labels``), so the geography and bridge
+    analyses reduce to ``np.unique`` passes over integer columns.
     """
 
     def __init__(self, store: PeerColumns) -> None:
@@ -416,10 +463,8 @@ class _LogAccumulator:
         self.event_peer = np.empty(self._event_capacity, dtype=np.int64)
         self.event_asn = np.empty(self._event_capacity, dtype=np.int64)
         self.event_country = np.empty(self._event_capacity, dtype=np.int32)
-        #: Parallel per-event address strings (object lists: IPs are
-        #: arbitrary-length strings and may be ``None`` for IPv6 slots).
-        self.event_ip: List[Optional[str]] = []
-        self.event_ipv6: List[Optional[str]] = []
+        self.event_addr4 = np.empty(self._event_capacity, dtype=np.int64)
+        self.event_addr6 = np.empty(self._event_capacity, dtype=np.int64)
         self.country_codes: Dict[str, int] = {}
         self.country_labels: List[str] = []
         self._allocate(max(store.size, 1024))
@@ -441,7 +486,13 @@ class _LogAccumulator:
             return
         while self._event_capacity < needed:
             self._event_capacity *= 2
-        for name in ("event_peer", "event_asn", "event_country"):
+        for name in (
+            "event_peer",
+            "event_asn",
+            "event_country",
+            "event_addr4",
+            "event_addr6",
+        ):
             old = getattr(self, name)
             grown = np.empty(self._event_capacity, dtype=old.dtype)
             grown[: self.event_count] = old[: self.event_count]
@@ -465,10 +516,9 @@ class _LogAccumulator:
             + self.event_peer.nbytes
             + self.event_asn.nbytes
             + self.event_country.nbytes
+            + self.event_addr4.nbytes
+            + self.event_addr6.nbytes
         )
-        # Event address strings: 8-byte list slots; string storage itself is
-        # shared with the population columns, so only count the references.
-        total += 8 * (len(self.event_ip) + len(self.event_ipv6))
         return total
 
     def _note_memory(self) -> None:
@@ -530,8 +580,6 @@ class ObservationLog:
         self._acc: Optional[_LogAccumulator] = None
         self._peers_cache: Optional[Dict[bytes, PeerObservationAggregate]] = None
         self._peers_cache_days = -1
-        self._addr_sets_cache: Optional[Dict[int, Set[str]]] = None
-        self._addr_sets_events = -1
 
     @property
     def peers(self) -> Dict[bytes, PeerObservationAggregate]:
@@ -616,13 +664,11 @@ class ObservationLog:
             if count
         }
         ip_selection = mask & cols.valid_ip
-        ipv4 = set(cols.ip[ip_selection].tolist())
-        ipv4.discard(None)  # type: ignore[arg-type]
-        ipv6_values = cols.ipv6[ip_selection]
-        ipv6 = set(ipv6_values[np.not_equal(ipv6_values, None)].tolist())
-        stats.observed_ipv4 = len(ipv4)
-        stats.observed_ipv6 = len(ipv6)
-        stats.observed_all_ips = len(ipv4) + len(ipv6)
+        ipv4 = np.unique(cols.addr4[ip_selection])
+        ipv6 = np.unique(cols.addr6[ip_selection])
+        stats.observed_ipv4 = int(np.count_nonzero(ipv4 >= 0))
+        stats.observed_ipv6 = int(np.count_nonzero(ipv6 >= 0))
+        stats.observed_all_ips = stats.observed_ipv4 + stats.observed_ipv6
 
         # Accumulate per-peer state (indices within a day are unique, so
         # plain fancy-indexed += is safe).
@@ -649,8 +695,8 @@ class ObservationLog:
             acc.event_country[start:end] = [
                 acc.country_code(country) for country in countries
             ]
-            acc.event_ip.extend(cols.ip[mask][address_changed].tolist())
-            acc.event_ipv6.extend(cols.ipv6[mask][address_changed].tolist())
+            acc.event_addr4[start:end] = cols.addr4[mask][address_changed]
+            acc.event_addr6[start:end] = cols.addr6[mask][address_changed]
             acc.event_count = end
             acc.seen_version[changed_global] = versions[address_changed]
             acc.ipv4_count[changed_global] += 1
@@ -751,8 +797,8 @@ class ObservationLog:
                 hidden_days=int(acc.hidden_days[global_index]),
             )
             for event in events_by_peer.get(global_index, ()):
-                ip = acc.event_ip[event]
-                ipv6_addr = acc.event_ipv6[event]
+                ip = format_address(int(acc.event_addr4[event]))
+                ipv6_addr = format_address(int(acc.event_addr6[event]))
                 country_code = int(acc.event_country[event])
                 asn = int(acc.event_asn[event])
                 if ip is not None:
@@ -812,30 +858,6 @@ class ObservationLog:
         for event, peer in enumerate(acc.event_peer[: acc.event_count].tolist()):
             groups.setdefault(peer, []).append(event)
         return groups
-
-    def _peer_address_sets(self) -> Dict[int, Set[str]]:
-        """Per-peer observed address set (IPv4 ∪ IPv6), cached per event count."""
-        acc = self._acc
-        assert acc is not None
-        if (
-            self._addr_sets_cache is None
-            or self._addr_sets_events != acc.event_count
-        ):
-            sets: Dict[int, Set[str]] = {}
-            peers = acc.event_peer[: acc.event_count].tolist()
-            for event, peer in enumerate(peers):
-                addresses = sets.get(peer)
-                if addresses is None:
-                    addresses = sets[peer] = set()
-                ip = acc.event_ip[event]
-                if ip is not None:
-                    addresses.add(ip)
-                ipv6 = acc.event_ipv6[event]
-                if ipv6 is not None:
-                    addresses.add(ipv6)
-            self._addr_sets_cache = sets
-            self._addr_sets_events = acc.event_count
-        return self._addr_sets_cache
 
     def country_counts(self) -> Counter:
         """Observed peers per country (each peer counts once per country).
@@ -948,64 +970,64 @@ class ObservationLog:
             "never_published_address": never_addressed,
         }
 
-    def known_ip_presence_on(
-        self, day: int
-    ) -> Tuple[np.ndarray, List[Set[str]]]:
-        """Known-IP peers observed on ``day``: (first days, address sets).
+    def known_ip_keys(
+        self, day: int, first_seen: bool = False
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Known-IP peers observed on ``day``: (first days, owners, keys).
 
-        Returns one entry per known-IP peer observed on ``day``: the day it
-        was first observed, and its full observed address set (IPv4 ∪ IPv6
-        over the whole campaign).  The bridge analyses consume this without
-        materialising per-peer aggregates on columnar runs.
+        With ``first_seen`` the peers are those *first* observed on
+        ``day`` (the bridge-survival cohort).  ``first days`` has one entry
+        per selected peer; ``keys`` lists every address key those peers
+        were observed with over the whole campaign (IPv4 and IPv6), and
+        ``owners`` the position in ``first days`` of each key's peer.  The
+        bridge analyses consume this without materialising per-peer
+        aggregates on columnar runs.
         """
         if self._acc is None:
-            first_days: List[int] = []
-            address_sets: List[Set[str]] = []
-            for aggregate in self.peers.values():
-                if day in aggregate.days_observed and aggregate.has_known_ip:
-                    first_days.append(aggregate.first_day)
-                    address_sets.append(
-                        aggregate.ipv4_addresses | aggregate.ipv6_addresses
-                    )
-            return np.asarray(first_days, dtype=np.int64), address_sets
-        acc = self._acc
-        size = acc.store.size
-        if day < 0 or day >= acc.horizon:
-            return np.empty(0, dtype=np.int64), []
-        rows = np.nonzero(
-            acc.observed[:size, day] & (acc.ipv4_count[:size] > 0)
-        )[0]
-        sets_by_row = self._peer_address_sets()
-        return (
-            acc.first_day[rows].astype(np.int64),
-            [sets_by_row[row] for row in rows.tolist()],
-        )
-
-    def known_ip_cohort_addresses(self, first_day: int) -> List[Set[str]]:
-        """Address sets of known-IP peers *first* observed on ``first_day``
-        (the bridge-survival cohort)."""
-        if self._acc is None:
-            return [
-                aggregate.ipv4_addresses | aggregate.ipv6_addresses
+            selected = [
+                aggregate
                 for aggregate in self.peers.values()
-                if aggregate.first_day == first_day and aggregate.has_known_ip
+                if aggregate.has_known_ip
+                and (
+                    aggregate.first_day == day
+                    if first_seen
+                    else day in aggregate.days_observed
+                )
             ]
+            addresses = [a.ipv4_addresses | a.ipv6_addresses for a in selected]
+            return (
+                np.asarray([a.first_day for a in selected], dtype=np.int64),
+                np.repeat(np.arange(len(selected)), [len(s) for s in addresses]),
+                np.asarray(
+                    [address_key(ip) for s in addresses for ip in s], dtype=np.int64
+                ),
+            )
         acc = self._acc
         size = acc.store.size
-        rows = np.nonzero(
-            (acc.first_day[:size] == first_day) & (acc.ipv4_count[:size] > 0)
-        )[0]
-        sets_by_row = self._peer_address_sets()
-        return [sets_by_row[row] for row in rows.tolist()]
+        if first_seen:
+            rows = acc.first_day[:size] == day
+        elif 0 <= day < acc.horizon:
+            rows = acc.observed[:size, day]
+        else:
+            rows = np.zeros(size, dtype=bool)
+        rows = np.nonzero(rows & (acc.ipv4_count[:size] > 0))[0]
+        position = np.full(size, -1, dtype=np.int64)
+        position[rows] = np.arange(rows.size)
+        n = acc.event_count
+        owner = position[acc.event_peer[:n]]
+        events = owner >= 0
+        owners = np.concatenate((owner[events], owner[events]))
+        keys = np.concatenate(
+            (acc.event_addr4[:n][events], acc.event_addr6[:n][events])
+        )
+        present = keys >= 0
+        return acc.first_day[rows].astype(np.int64), owners[present], keys[present]
 
     def accumulator_memory_bytes(self) -> Tuple[int, int]:
         """(current, peak) accumulator array footprint in bytes (0 for
         row-oriented logs)."""
         if self._acc is None:
             return 0, 0
-        # The event lists grow between allocations; fold the current size
-        # into the high-water mark before reporting.
-        self._acc._note_memory()
         return self._acc.nbytes, self._acc.peak_nbytes
 
     def presence_lengths(self) -> Tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,7 @@
 
 Benchmarks and examples use these helpers so that every experiment prints a
 uniform, self-describing text report that can be compared line by line with
-the numbers in the paper (and is archived in EXPERIMENTS.md).
+the numbers in the paper.
 """
 
 from __future__ import annotations

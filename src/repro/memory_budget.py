@@ -107,6 +107,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="fail (exit 1) when peak RSS exceeds this many MiB",
     )
     args = parser.parse_args(argv)
+    if args.backend == "out-of-core" and args.cache_dir is None:
+        parser.error("--backend out-of-core needs --cache-dir")
 
     record = run_budgeted_campaign(
         scale=args.scale,

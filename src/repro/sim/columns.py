@@ -10,8 +10,9 @@ stores the same facts once, as NumPy columns over a global peer index:
   floodfill flag, membership window, port) written at peer creation;
 * a presence bitmatrix ``(peers × horizon_days)`` replacing the per-peer
   Python presence lists, so "who is online on day d" is one column slice;
-* the *current* IP assignment (address, IPv6, ASN, country, a version
-  counter bumped on rotation) updated in place by the daily churn step.
+* the *current* IP assignment (IPv4 and IPv6 address keys — see
+  :mod:`repro.sim.addresses` — ASN, country, a version counter bumped on
+  rotation) updated in place by the daily churn step.
 
 :class:`DayColumns` is the per-day slice of those columns restricted to
 the peers online that day — the payload behind a columnar
@@ -27,11 +28,13 @@ trimmed to the live ``size``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..netdb.routerinfo import BandwidthTier
+from .addresses import NO_ADDRESS, format_addresses
 from .ip import IpAssignment
 from .peer import VisibilityClass
 
@@ -111,8 +114,8 @@ class PeerColumns:
         self._leave_day = np.zeros(capacity, dtype=np.int32)
         self._port = np.zeros(capacity, dtype=np.int32)
         self._presence = np.zeros((capacity, self.horizon_days), dtype=bool)
-        self._cur_ip = np.empty(capacity, dtype=object)
-        self._cur_ipv6 = np.empty(capacity, dtype=object)
+        self._cur_addr4 = np.full(capacity, NO_ADDRESS, dtype=np.int64)
+        self._cur_addr6 = np.full(capacity, NO_ADDRESS, dtype=np.int64)
         self._cur_country = np.empty(capacity, dtype=object)
         self._cur_asn = np.full(capacity, -1, dtype=np.int64)
         self._cur_version = np.zeros(capacity, dtype=np.int64)
@@ -136,8 +139,8 @@ class PeerColumns:
             "_leave_day",
             "_port",
             "_presence",
-            "_cur_ip",
-            "_cur_ipv6",
+            "_cur_addr4",
+            "_cur_addr6",
             "_cur_country",
             "_cur_asn",
             "_cur_version",
@@ -183,9 +186,9 @@ class PeerColumns:
 
     def set_assignment(self, index: int, assignment: IpAssignment) -> None:
         """Install a peer's current IP assignment and bump its version."""
-        self._cur_ip[index] = assignment.ip
-        self._cur_ipv6[index] = (
-            assignment.ipv6 if self._supports_ipv6[index] else None
+        self._cur_addr4[index] = assignment.addr4
+        self._cur_addr6[index] = (
+            assignment.addr6 if self._supports_ipv6[index] else NO_ADDRESS
         )
         self._cur_country[index] = assignment.country_code
         self._cur_asn[index] = -1 if assignment.asn is None else assignment.asn
@@ -248,12 +251,12 @@ class PeerColumns:
         return self._presence[: self.size]
 
     @property
-    def cur_ip(self) -> np.ndarray:
-        return self._cur_ip[: self.size]
+    def cur_addr4(self) -> np.ndarray:
+        return self._cur_addr4[: self.size]
 
     @property
-    def cur_ipv6(self) -> np.ndarray:
-        return self._cur_ipv6[: self.size]
+    def cur_addr6(self) -> np.ndarray:
+        return self._cur_addr6[: self.size]
 
     @property
     def cur_country(self) -> np.ndarray:
@@ -369,6 +372,8 @@ class DayColumns:
     array has one entry per online peer in global-index order — the same
     order the row-oriented snapshot list used, so positional observation
     indices stay interchangeable between the two representations.
+    Addresses are integer keys (``addr4`` / ``addr6``); :attr:`ip` and
+    :attr:`ipv6` format them on first access, for output only.
     """
 
     day: int
@@ -385,8 +390,8 @@ class DayColumns:
     valid_ip: np.ndarray  # bool: has a usable public IPv4 today
     new_today: np.ndarray  # bool
     port: np.ndarray  # int32
-    ip: np.ndarray  # object: str or None
-    ipv6: np.ndarray  # object: str or None
+    addr4: np.ndarray  # int64 IPv4 key (-1 = none)
+    addr6: np.ndarray  # int64 IPv6 key (-1 = none)
     country: np.ndarray  # object: str
     asn: np.ndarray  # int64 (-1 = unknown)
     version: np.ndarray  # int64: IP-assignment version at capture time
@@ -394,3 +399,13 @@ class DayColumns:
     @property
     def count(self) -> int:
         return int(self.indices.size)
+
+    @cached_property
+    def ip(self) -> np.ndarray:
+        """IPv4 addresses as an object array of ``str`` / ``None``."""
+        return format_addresses(self.addr4)
+
+    @cached_property
+    def ipv6(self) -> np.ndarray:
+        """IPv6 addresses as an object array of ``str`` / ``None``."""
+        return format_addresses(self.addr6)

@@ -290,7 +290,7 @@ class CachedExposure(SharedExposure):
         self._day_cache: "OrderedDict[int, Tuple[DayView, DayExposure]]" = (
             OrderedDict()
         )
-        #: Decoded ip/ipv6 columns per day, filled only by the views'
+        #: Address-key columns per day, read only by the views'
         #: ``address_loader`` (never while recording).
         self._addresses: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
@@ -351,8 +351,8 @@ class CachedExposure(SharedExposure):
             valid_ip=np.asarray(reader.day_array(day, "valid_ip")),
             new_today=np.asarray(store.join_day[indices]) == day,
             port=np.asarray(store.port[indices]),
-            ip=_decode_strings(np.asarray(reader.day_array(day, "ip"))),
-            ipv6=_decode_strings(np.asarray(reader.day_array(day, "ipv6"))),
+            addr4=np.asarray(reader.day_array(day, "addr4")),
+            addr6=np.asarray(reader.day_array(day, "addr6")),
             country=_decode_strings(np.asarray(reader.day_array(day, "country"))),
             asn=np.asarray(reader.day_array(day, "asn")),
             version=np.asarray(reader.day_array(day, "version")),
@@ -363,9 +363,9 @@ class CachedExposure(SharedExposure):
             departures=reader.departures[day],
             columns=day_columns,
         )
-        # Streamed monitors defer IP-set materialisation through this hook
-        # instead of pinning the day's decoded address arrays (see
-        # core.monitor.DailyIpSets.append_lazy).
+        # Streamed monitors reach the day's address keys through this hook
+        # instead of pinning the day's columns (see
+        # core.monitor.DailyIpSets.append_deferred).
         view.address_loader = partial(self._day_addresses, day)
         draw = DayExposure(
             flood_exposed=np.asarray(reader.day_array(day, "flood")),
@@ -378,20 +378,19 @@ class CachedExposure(SharedExposure):
         return view, draw
 
     def _day_addresses(self, day: int) -> Tuple[np.ndarray, np.ndarray]:
-        """One day's decoded ip/ipv6 columns, decoded once and shared by
-        every monitor's lazy IP set for that day.
+        """One day's addr4/addr6 key columns, read once and shared by every
+        monitor's lazy address set for that day.
 
         Recording never calls this, so it keeps one shard resident; the
-        analyses that materialise IP sets decode each day once instead of
-        once per monitor, and the sets share the decoded strings.
+        analyses read each day's keys once instead of once per monitor.
+        The keys are copied out of the shard mapping, so holding them
+        keeps no shard mapped.
         """
         addresses = self._addresses.get(day)
         if addresses is None:
-            from .exposure_cache import _decode_strings
-
             addresses = (
-                _decode_strings(np.asarray(self._reader.day_array(day, "ip"))),
-                _decode_strings(np.asarray(self._reader.day_array(day, "ipv6"))),
+                np.array(self._reader.day_array(day, "addr4")),
+                np.array(self._reader.day_array(day, "addr6")),
             )
             self._addresses[day] = addresses
         return addresses

@@ -10,7 +10,7 @@ population rebuild entirely — and, unlike the v1 monolithic ``.npz``
 format, a restored entry *streams* from disk instead of inflating into
 RAM.
 
-Bundle layout (``FORMAT_VERSION`` = 2)
+Bundle layout (``FORMAT_VERSION`` = 3)
 --------------------------------------
 One ``<digest>/`` directory per ``(PopulationConfig, observation_seed)``
 key, where ``digest`` is :func:`exposure_digest` — a SHA-256 prefix over
@@ -38,11 +38,15 @@ replace the bundle.
 Every array is written to a temporary name and renamed into place, and the
 whole bundle is assembled in a hidden temp directory that is renamed over
 the final path only after ``meta.json`` lands — concurrent readers never
-see a partial bundle.  Address columns are fixed-width bytes (IPv4 S15 /
-IPv6 S48 / country S4, empty = ``None``) so they round-trip exactly and
-mmap cleanly; per-monitor observation masks are *not* persisted — they are
-pure functions of the observation seed and the persisted exposure draws,
-so restored runs recompute them bit-identically.
+see a partial bundle.  Addresses are ``int64`` keys (``addr4`` / ``addr6``,
+−1 = none; see :mod:`repro.sim.addresses`), read back without any
+decoding; the country column is fixed-width bytes (S4, empty = ``None``).
+Per-monitor observation masks are *not* persisted — they are pure
+functions of the observation seed and the persisted exposure draws, so
+restored runs recompute them bit-identically.  The digest folds in the
+format version, so a format bump turns every older bundle into a cache
+miss (it is never read); a bundle whose ``meta.json`` names another
+format is evicted and rebuilt like any other unreadable one.
 
 Restored entries are **read-only**: the population behind them is a
 :class:`RestoredPopulation` over a
@@ -99,7 +103,7 @@ __all__ = [
 
 _LOG = logging.getLogger(__name__)
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Version of the *simulation semantics* behind a cached exposure.  Bump
 #: this whenever population generation or exposure draw order changes
@@ -132,8 +136,8 @@ DAY_DTYPES: Dict[str, str] = {
     "hidden": "bool",
     "reachable": "bool",
     "valid_ip": "bool",
-    "ip": "S15",
-    "ipv6": "S48",
+    "addr4": "int64",
+    "addr6": "int64",
     "country": "S4",
     "asn": "int64",
     "version": "int64",
@@ -184,9 +188,7 @@ def _encode_strings(values: np.ndarray, width: int) -> np.ndarray:
 def _decode_strings(values: np.ndarray) -> np.ndarray:
     """Fixed-width bytes → object array of str-or-None ('' → None).
 
-    Vectorised: the unicode cast and the object boxing both happen in C,
-    which matters when a streamed campaign re-decodes address columns
-    shard by shard.
+    Vectorised: the unicode cast and the object boxing both happen in C.
     """
     out = values.astype("U").astype(object)
     out[values == b""] = None
@@ -313,8 +315,8 @@ class BundleWriter:
             "hidden": np.asarray(cols.hidden, dtype=bool),
             "reachable": np.asarray(cols.reachable, dtype=bool),
             "valid_ip": np.asarray(cols.valid_ip, dtype=bool),
-            "ip": _encode_strings(cols.ip, 15),
-            "ipv6": _encode_strings(cols.ipv6, 48),
+            "addr4": np.asarray(cols.addr4, dtype=np.int64),
+            "addr6": np.asarray(cols.addr6, dtype=np.int64),
             "country": _encode_strings(cols.country, 4),
             "asn": np.asarray(cols.asn, dtype=np.int64),
             "version": np.asarray(cols.version, dtype=np.int64),

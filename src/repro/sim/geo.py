@@ -32,6 +32,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .addresses import IPV6_KEY_BASE
+
 __all__ = [
     "Country",
     "AutonomousSystem",
@@ -80,6 +82,18 @@ class AutonomousSystem:
     def ipv6_for(self, host_index: int) -> str:
         """A deterministic IPv6 address inside a synthetic /32 for this AS."""
         return f"2a{self.asn % 16:01x}:{self.asn & 0xFFFF:x}::{host_index & 0xFFFF:x}"
+
+    def ipv4_key(self, host_index: int) -> int:
+        """The integer key of :meth:`ipv4_for`'s address (its 32-bit value)."""
+        third = (host_index // 254) % 254 + 1
+        fourth = host_index % 254 + 1
+        first, second = self.ipv4_prefix
+        return first << 24 | second << 16 | third << 8 | fourth
+
+    def ipv6_key(self, host_index: int) -> int:
+        """The integer key of :meth:`ipv6_for`'s address (see
+        :mod:`repro.sim.addresses`)."""
+        return IPV6_KEY_BASE | (self.asn & 0xFFFF) << 16 | (host_index & 0xFFFF)
 
 
 # --------------------------------------------------------------------------- #

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .addresses import NO_ADDRESS, format_address
 from .geo import AutonomousSystem, GeoRegistry
 
 __all__ = ["AddressProfile", "IpAssignment", "IpAssignmentManager"]
@@ -50,15 +51,24 @@ def _home_prefix(asys: AutonomousSystem) -> str:
 class IpAssignment:
     """One IP address lease: the address plus where it resolves to.
 
-    Slotted: a paper-scale population holds ~2.5 of these per peer
-    (current + history), so the per-instance ``__dict__`` would cost
-    hundreds of MiB at 10× scale.
+    Addresses are integer keys (:mod:`repro.sim.addresses`); :attr:`ip`
+    and :attr:`ipv6` format them on access.  Slotted: a paper-scale
+    population holds ~2.5 of these per peer (current + history), so the
+    per-instance ``__dict__`` would cost hundreds of MiB at 10× scale.
     """
 
-    ip: str
+    addr4: int
     asn: int
     country_code: str
-    ipv6: Optional[str] = None
+    addr6: int = NO_ADDRESS
+
+    @property
+    def ip(self) -> Optional[str]:
+        return format_address(self.addr4)
+
+    @property
+    def ipv6(self) -> Optional[str]:
+        return format_address(self.addr6)
 
 
 @dataclass(slots=True)
@@ -142,10 +152,11 @@ class IpAssignmentManager:
 
     def _allocate_in_as(self, asys: AutonomousSystem) -> IpAssignment:
         host_index = self._next_host_index(asys.asn)
-        ipv4 = asys.ipv4_for(host_index)
-        ipv6 = asys.ipv6_for(host_index) if asys.supports_ipv6 else None
         return IpAssignment(
-            ip=ipv4, asn=asys.asn, country_code=asys.country_code, ipv6=ipv6
+            addr4=asys.ipv4_key(host_index),
+            asn=asys.asn,
+            country_code=asys.country_code,
+            addr6=asys.ipv6_key(host_index) if asys.supports_ipv6 else NO_ADDRESS,
         )
 
     def register_peer(
@@ -405,7 +416,7 @@ class IpAssignmentManager:
 
     def address_count(self, peer_id: bytes) -> int:
         """Distinct IPv4 addresses the peer has held so far."""
-        return len({a.ip for a in self._require_history(peer_id)})
+        return len({a.addr4 for a in self._require_history(peer_id)})
 
     def asn_count(self, peer_id: bytes) -> int:
         return len({a.asn for a in self._require_history(peer_id)})

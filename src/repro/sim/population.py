@@ -710,8 +710,8 @@ class I2PPopulation:
             hidden[flapping_rows[~flap_firewalled]] = True
         reachable = vis == VIS_PUBLIC
 
-        ip = cols.cur_ip[online_idx]
-        valid_ip = np.not_equal(ip, None) & ~firewalled & ~hidden
+        addr4 = cols.cur_addr4[online_idx]
+        valid_ip = (addr4 >= 0) & ~firewalled & ~hidden
         day_columns = DayColumns(
             day=day,
             columns=cols,
@@ -727,8 +727,8 @@ class I2PPopulation:
             valid_ip=valid_ip,
             new_today=cols.join_day[online_idx] == day,
             port=cols.port[online_idx],
-            ip=ip,
-            ipv6=cols.cur_ipv6[online_idx],
+            addr4=addr4,
+            addr6=cols.cur_addr6[online_idx],
             country=cols.cur_country[online_idx],
             asn=cols.cur_asn[online_idx],
             version=cols.cur_version[online_idx],

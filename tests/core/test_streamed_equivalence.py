@@ -9,6 +9,7 @@ streamed outputs are identical — including byte-identical rendered text
 for the figure tables.
 """
 
+import sys
 from collections import Counter
 
 import pytest
@@ -27,7 +28,12 @@ from repro.core.geography import (
 from repro.core.monitor import ObservationLog, PeerObservationAggregate
 from repro.core.population import classify_unknown_ip, summarize_population
 from repro.core.reporting import render_campaign_summary
-from repro.core import run_main_campaign
+from repro.core import run_main_campaign, run_scenario
+from repro.core.scenario import ANALYSES
+from repro.sim import addresses
+from repro.sim.addresses import format_addresses
+from repro.sim.exposure import ExposureEngine
+from repro.sim.geo import AutonomousSystem
 
 
 # --------------------------------------------------------------------------- #
@@ -139,6 +145,9 @@ class TestStreamedEquivalence:
         assert summary.unblocked_long_lived == old
 
     def test_bridge_survival_cohort_matches_aggregates(self, small_campaign):
+        """The cohort's address keys, formatted per peer, are the aggregates'
+        address sets, and the survival curve equals a walk over those
+        string sets."""
         log = small_campaign.log
         cohort_day = max(0, len(log.daily) - 4)
         reference = [
@@ -146,10 +155,21 @@ class TestStreamedEquivalence:
             for aggregate in log.peers.values()
             if aggregate.first_day == cohort_day and aggregate.has_known_ip
         ]
-        streamed = log.known_ip_cohort_addresses(cohort_day)
+        first_days, owners, keys = log.known_ip_keys(cohort_day, first_seen=True)
+        assert first_days.tolist() == [cohort_day] * len(reference)
+        streamed = [set() for _ in reference]
+        for owner, address in zip(owners.tolist(), format_addresses(keys)):
+            streamed[owner].add(address)
         assert sorted(map(sorted, streamed)) == sorted(map(sorted, reference))
+
         figure = bridge_survival_curve(small_campaign, cohort_day=cohort_day)
         assert figure.figure_id == "ablation_bridges"
+        expected = []
+        for day in range(cohort_day, len(log.daily)):
+            blacklist = censor_blacklist(small_campaign.monitors, 10, day, 30)
+            surviving = sum(1 for ips in reference if not ips & blacklist)
+            expected.append((day - cohort_day, surviving / len(reference) * 100.0))
+        assert figure.series["new-peer bridges unblocked"].points == expected
 
     def test_blocking_curve_byte_identical_to_naive_union(self, small_campaign):
         """The incremental blacklist accumulation must reproduce the naive
@@ -221,3 +241,32 @@ class TestNoAggregateMaterialisation:
         assert fresh.log._peers_cache is None  # nothing materialised
         _ = fresh.log.peers  # force the compatibility view
         assert render_campaign_summary(fresh) == streamed_text
+
+
+class TestNoAddressStrings:
+    """Acceptance: the main campaign and every registered analysis carry
+    integer address keys end to end and never format an address string."""
+
+    @pytest.mark.parametrize("backend", ["in_memory", "out_of_core"])
+    def test_main_campaign_formats_no_address(self, tmp_path, monkeypatch, backend):
+        def _forbidden(*args, **kwargs):
+            raise AssertionError("an address string was formatted")
+
+        formatters = (addresses.format_address, addresses.format_addresses)
+        for module in list(sys.modules.values()):
+            if not getattr(module, "__name__", "").startswith("repro"):
+                continue
+            for name, value in list(vars(module).items()):
+                if any(value is formatter for formatter in formatters):
+                    monkeypatch.setattr(module, name, _forbidden)
+        monkeypatch.setattr(AutonomousSystem, "ipv4_for", _forbidden)
+        monkeypatch.setattr(AutonomousSystem, "ipv6_for", _forbidden)
+
+        engine = ExposureEngine(cache_dir=tmp_path, backend=backend)
+        result = run_scenario(
+            "main_campaign", scale=0.02, seed=79, days=5, engine=engine
+        )
+        engine.flush()
+        assert set(result.spec.analyses) == set(ANALYSES)
+        assert "figure_13" in result.figures
+        assert "bridge_pool" in result.summaries

@@ -9,7 +9,7 @@ the row-oriented reference implementations they replaced.
 import numpy as np
 import pytest
 
-from repro.core.monitor import MonitoringRouter, ObservationLog
+from repro.core.monitor import MonitoringRouter, ObservationLog, day_coverage
 from repro.sim.columns import TIER_ORDER, PeerColumns
 from repro.sim.observation import MonitorMode, MonitorSpec, ObservationModel
 from repro.sim.population import (
@@ -173,6 +173,31 @@ class TestRecordingEquivalence:
         for peer_id, reference in rows_log.peers.items():
             aggregate = columnar_log.peers[peer_id]
             assert aggregate == reference
+
+    @pytest.mark.parametrize("first_seen", [False, True])
+    def test_known_ip_keys_identical(self, recorded, first_seen):
+        """Both recording paths hand the bridge analyses the same peers,
+        first days and address keys."""
+        columnar_log, rows_log, _, _ = recorded
+
+        def per_peer(log, day):
+            first_days, owners, keys = log.known_ip_keys(day, first_seen=first_seen)
+            sets = [set() for _ in first_days.tolist()]
+            for owner, key in zip(owners.tolist(), keys.tolist()):
+                sets[owner].add(key)
+            return sorted(zip(first_days.tolist(), map(sorted, sets)))
+
+        for day in range(len(rows_log.daily)):
+            assert per_peer(columnar_log, day) == per_peer(rows_log, day)
+
+    def test_day_coverage_identical(self, recorded):
+        _, _, columnar_monitor, rows_monitor = recorded
+        subject = columnar_monitor.keys_in_window(4, 5)[::2]
+        sets = [columnar_monitor.daily_ip_sets, rows_monitor.daily_ip_sets]
+        for day in range(5):
+            covered = day_coverage(sets, day, subject)
+            assert covered[0].any()
+            assert np.array_equal(covered[0], covered[1])
 
     def test_bool_mask_accepted_on_snapshot_backed_views(self, population_run):
         """A boolean mask means the same thing on both view flavours."""

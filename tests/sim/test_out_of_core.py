@@ -153,8 +153,8 @@ class TestRestoredAddressDecoding:
     def test_analyses_decode_each_days_addresses_at_most_once(
         self, tmp_path, monkeypatch
     ):
-        """Every monitor's lazy IP set for a day shares one decode of that
-        day's address columns."""
+        """Every monitor's lazy address set for a day shares one read of
+        that day's address-key columns."""
         from collections import Counter
 
         from repro.core.blocking import blocking_curve
@@ -177,7 +177,7 @@ class TestRestoredAddressDecoding:
         blocking_curve(result)
         bridge_pool_summary(result)
         bridge_survival_curve(result)
-        assert {day for day, column in reads if column == "ip"} == set(range(days))
+        assert {day for day, column in reads if column == "addr4"} == set(range(days))
         assert max(reads.values()) == 1
 
 

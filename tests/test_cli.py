@@ -306,6 +306,27 @@ class TestRunCommandErrors:
         assert exit_code == 2
         assert captured.err.strip() == "scale must be positive"
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--scale", "0", "measure", "--days", "2"], "scale must be positive"),
+            (["--scale", "0", "calibrate"], "scale must be positive"),
+            (["--scale", "0", "censor", "--days", "2"], "scale must be positive"),
+            (["--scale", "0", "suite", "--days", "2"], "scale must be positive"),
+            (["--scale", "nan", "measure", "--days", "2"], "scale must be positive"),
+            (["measure", "--days", "-3"], "days must be positive"),
+            (["censor", "--days", "0"], "days must be positive"),
+            (["suite", "--days", "0"], "days must be positive"),
+            (["run", "main_campaign", "--days", "0"], "days must be positive"),
+        ],
+    )
+    def test_campaign_verbs_reject_bad_input_in_one_line(self, capsys, argv, message):
+        exit_code = main(argv)
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.strip() == message
+        assert captured.out == ""
+
 
 class TestRunNetDbScale:
     def test_parser_accepts_router_count(self):

@@ -49,6 +49,15 @@ class TestCli:
         record = json.loads(capsys.readouterr().out)
         assert record["within_budget"] is True
 
+    def test_out_of_core_without_a_cache_dir_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*self.ARGS, "--backend", "out-of-core"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --backend out-of-core needs --cache-dir" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_budget_gate_fails_over_a_tiny_budget(self, capsys):
         assert main([*self.ARGS, "--budget-mib", "1"]) == 1
         captured = capsys.readouterr()
