@@ -1,28 +1,18 @@
 """Command-line interface for the I2P measurement reproduction.
 
-The subcommands mirror the stages of the paper plus the scenario registry:
-
-``repro measure``
-    Run the main measurement campaign (Section 5) and print the campaign
-    summary report; optionally export every regenerated figure to a
-    directory as CSV/JSON.
-
-``repro calibrate``
-    Run the methodology experiments of Section 4 (Figures 2–4).
-
-``repro censor``
-    Run the censorship analyses of Section 6 (Figures 13–14) on top of a
-    fresh campaign.
-
-``repro suite``
-    Run the whole figure suite off one shared exposure cache (executed
-    through the scenario registry's ``figure_suite`` spec).
+Every experiment is a registered scenario, run one at a time with
+``repro run`` or as a grid with ``repro grid``:
 
 ``repro scenarios``
     List every registered scenario spec with a one-line description.
 
 ``repro run <scenario>``
-    Execute any registered scenario through the declarative engine.
+    Execute any registered scenario through the declarative engine and
+    print its figures, tables and summaries; ``--export-dir`` also writes
+    every figure as CSV and JSON.  The paper's results are
+    ``main_campaign`` (Section 5, Figures 5–13), ``figure_suite``
+    (Section 4's Figures 2–4 plus the campaign) and ``usability``
+    (Section 6.2.3, Figure 14).
 
 ``repro cache ls|clear``
     Inspect / empty the on-disk exposure cache (sharded mmap-friendly
@@ -42,8 +32,7 @@ The subcommands mirror the stages of the paper plus the scenario registry:
     it, interrupt it, resume it — finished jobs are never re-executed,
     failed jobs retry up to their budget then park in the dead-letter
     table.  State lives in one SQLite file (``--service-db`` /
-    ``$REPRO_SERVICE_DB``); ``--workers`` / ``$REPRO_GRID_WORKERS`` runs
-    digest groups concurrently.
+    ``$REPRO_SERVICE_DB``).
 
 ``repro jobs ls``
     Queue state per job (pending/running/done/failed + attempts), plus
@@ -77,7 +66,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import signal
 import sys
 import threading
@@ -89,30 +77,9 @@ from typing import Callable, Iterator, List, Optional, Sequence, TypeVar
 from .analysis.export import write_figure_csv, write_figure_json
 from .analysis.series import FigureData
 from .analysis.tables import format_kv
-from .core import (
-    bandwidth_sweep,
-    blocking_curve,
-    capacity_figure,
-    client_netdb_from_dayview,
-    country_figure,
-    asn_figure,
-    asn_span_figure,
-    daily_population_figure,
-    ip_churn_figure,
-    list_scenarios,
-    longevity_figure,
-    render_campaign_summary,
-    render_figure,
-    render_table1,
-    router_count_sweep,
-    run_main_campaign,
-    run_scenario,
-    single_router_experiment,
-    unknown_ip_figure,
-    usability_curve,
-)
+from .core import list_scenarios, render_figure, run_scenario
 from .core.scenario import ScenarioResult
-from .sim import ExposureEngine, I2PPopulation, PopulationConfig
+from .sim import ExposureEngine
 from .sim import exposure_cache
 
 __all__ = ["main", "build_parser"]
@@ -187,35 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    measure = subparsers.add_parser(
-        "measure", help="run the Section 5 main campaign and print the summary"
-    )
-    measure.add_argument("--days", type=int, default=20, help="campaign days (paper: 90)")
-    measure.add_argument(
-        "--export-dir",
-        type=Path,
-        default=None,
-        help="directory to write every regenerated figure as CSV and JSON",
-    )
-
-    calibrate = subparsers.add_parser(
-        "calibrate", help="run the Section 4 methodology experiments (Figures 2-4)"
-    )
-    calibrate.add_argument("--max-routers", type=int, default=40)
-
-    censor = subparsers.add_parser(
-        "censor", help="run the Section 6 censorship analyses (Figures 13-14)"
-    )
-    censor.add_argument("--days", type=int, default=20)
-    censor.add_argument("--fetches", type=int, default=10)
-
-    suite = subparsers.add_parser(
-        "suite",
-        help="run the whole figure suite off one shared exposure cache",
-    )
-    suite.add_argument("--days", type=int, default=10, help="campaign days")
-    suite.add_argument("--max-routers", type=int, default=40)
-
     subparsers.add_parser(
         "scenarios", help="list every registered scenario spec"
     )
@@ -244,6 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="simulated-network size for message-level scenarios "
         "(e.g. netdb-scale); rejected for exposure-based scenarios",
+    )
+    run.add_argument(
+        "--export-dir",
+        type=Path,
+        default=None,
+        help="directory to write every figure of the run as CSV and JSON",
     )
 
     cache = subparsers.add_parser(
@@ -331,14 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
             nargs="?",
             default=None,
             help="grid to execute (default: the most recently planned)",
-        )
-        sub.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            metavar="N",
-            help="concurrent digest-group workers, each with its own "
-            "exposure engine (default: $REPRO_GRID_WORKERS or 1)",
         )
         sub.add_argument(
             "--max-jobs",
@@ -432,18 +368,6 @@ def resolve_option(
     return default
 
 
-def _parse_workers(raw: str) -> int:
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers <= 0:
-        raise ValueError(
-            f"REPRO_GRID_WORKERS must be a positive integer; got {raw!r}"
-        )
-    return workers
-
-
 def _resolve_cache_dir(args: argparse.Namespace) -> Optional[Path]:
     """The exposure cache directory this invocation uses (None = disabled)."""
     if args.no_cache:
@@ -490,7 +414,6 @@ def _make_engine(args: argparse.Namespace) -> ExposureEngine:
     )
     # Cache writes run off the critical path; main() joins them on exit so
     # an in-process caller (tests, notebooks) sees a settled cache dir.
-    # Grid runs build one engine per worker here and flush each themselves.
     args._engine = engine
     return engine
 
@@ -503,112 +426,6 @@ def _export_figures(figures: Sequence[FigureData], export_dir: Path) -> List[Pat
     return written
 
 
-def _cmd_measure(args: argparse.Namespace) -> int:
-    engine = _make_engine(args)
-    result = run_main_campaign(
-        days=args.days, scale=args.scale, seed=args.seed, engine=engine
-    )
-    print(render_campaign_summary(result))
-    print()
-    print(render_table1(result.log))
-    print()
-    print(render_figure(blocking_curve(result), ".1f"))
-    figures = [
-        daily_population_figure(result.log),
-        unknown_ip_figure(result.log),
-        longevity_figure(result.log),
-        ip_churn_figure(result.log),
-        capacity_figure(result.log),
-        country_figure(result.log),
-        asn_figure(result.log),
-        asn_span_figure(result.log),
-        blocking_curve(result),
-    ]
-    if args.export_dir is not None:
-        written = _export_figures(figures, args.export_dir)
-        print(f"\nexported {len(written)} files to {args.export_dir}")
-    return 0
-
-
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    # One shared exposure (10-day horizon covers the longest experiment)
-    # serves all three methodology figures: the population is built once.
-    engine = _make_engine(args)
-    horizon = 10
-    print(
-        render_figure(
-            single_router_experiment(
-                scale=args.scale, seed=args.seed, engine=engine, horizon_days=horizon
-            ),
-            ".0f",
-        )
-    )
-    print()
-    print(
-        render_figure(
-            bandwidth_sweep(
-                scale=args.scale, seed=args.seed, engine=engine, horizon_days=horizon
-            ),
-            ".0f",
-        )
-    )
-    print()
-    figure4, result = router_count_sweep(
-        max_routers=args.max_routers,
-        scale=args.scale,
-        seed=args.seed,
-        engine=engine,
-        horizon_days=horizon,
-    )
-    print(render_figure(figure4, ".0f"))
-    print(f"\nmean daily ground-truth population: {result.mean_daily_online:.0f}")
-    return 0
-
-
-def _cmd_suite(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from .core import get_scenario
-
-    spec = get_scenario("figure_suite")
-    spec = replace(
-        spec, params={**dict(spec.params), "max_routers": args.max_routers}
-    )
-    result = run_scenario(
-        spec,
-        scale=args.scale,
-        seed=args.seed,
-        days=args.days,
-        engine=_make_engine(args),
-    )
-    suite = result.suite
-    assert suite is not None
-    print(render_campaign_summary(suite.campaign))
-    print()
-    for figure in (suite.figure2, suite.figure3, suite.figure4):
-        print(render_figure(figure, ".0f"))
-        print()
-    print(render_table1(suite.campaign.log))
-    print()
-    for threshold, values in suite.longevity.items():
-        print(
-            f"longevity >{threshold} days: continuous={values['continuous']:.1f}% "
-            f"intermittent={values['intermittent']:.1f}%"
-        )
-    churn = suite.ip_churn
-    print(
-        f"ip churn: {churn.known_ip_peers} known-IP peers, "
-        f"{churn.multi_ip_share * 100:.1f}% with 2+ addresses"
-    )
-    engine = result.engine
-    assert engine is not None
-    print(
-        f"exposure cache: {engine.misses} population build(s), "
-        f"{engine.hits} cache hit(s), {engine.disk_hits} disk hit(s)"
-    )
-    return 0
-
-
 def _cmd_scenarios(args: argparse.Namespace) -> int:
     specs = list_scenarios()
     width = max(len(spec.name) for spec in specs)
@@ -617,7 +434,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         print(f"  {spec.name:<{width}}  [{spec.kind}] {spec.description}")
     print(
         "\nrun one with: repro [--scale S] [--seed N] run <scenario> [--days D] "
-        "[--router-count N]\n"
+        "[--router-count N] [--export-dir DIR]\n"
         "fault-injection scenarios replay a seeded FaultPlan (drop_probability, "
         "crash_fraction,\n"
         "reseed_fraction, blackout_region, outage_start_round/outage_end_round, "
@@ -703,6 +520,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         result = run_scenario(spec, scale=args.scale, seed=args.seed, engine=engine)
     _print_scenario_result(result)
+    if args.export_dir is not None:
+        figures = [result.figures[figure_id] for figure_id in sorted(result.figures)]
+        written = _export_figures(figures, args.export_dir)
+        print(f"\nexported {len(written)} files to {args.export_dir}")
     return 0
 
 
@@ -802,23 +623,6 @@ def _usage_error(error: BaseException) -> int:
     return 2
 
 
-#: Commands that run a campaign: they share one check of ``--scale`` and
-#: ``--days`` before anything is built.
-_CAMPAIGN_COMMANDS = ("measure", "calibrate", "censor", "suite", "run")
-
-
-def _campaign_input_error(args: argparse.Namespace) -> Optional[str]:
-    """The usage error in a campaign command's ``--scale`` / ``--days``."""
-    if args.command not in _CAMPAIGN_COMMANDS:
-        return None
-    if not args.scale > 0:  # also rejects NaN
-        return "scale must be positive"
-    days = getattr(args, "days", None)
-    if days is not None and days <= 0:
-        return "days must be positive"
-    return None
-
-
 def _cmd_grid(args: argparse.Namespace) -> int:
     import json as _json
 
@@ -892,15 +696,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
             queue.grid_spec(grid_id)
         except KeyError as error:
             return _usage_error(error)
-    try:
-        workers = resolve_option(
-            args.workers, "REPRO_GRID_WORKERS", default=1, parse=_parse_workers
-        )
-        assert workers is not None
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-    except ValueError as error:
-        return _usage_error(error)
     telemetry_path = args.telemetry or db_path.with_suffix(".telemetry.jsonl")
     telemetry = Telemetry(telemetry_path)
     try:
@@ -909,7 +704,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
             grid_id,
             engine_factory=partial(_make_engine, args),
             telemetry=telemetry,
-            workers=workers,
             max_jobs=args.max_jobs,
             backoff_base=args.backoff,
             progress=print,
@@ -1032,37 +826,6 @@ def _cmd_results(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_censor(args: argparse.Namespace) -> int:
-    engine = _make_engine(args)
-    result = run_main_campaign(
-        days=args.days, scale=args.scale, seed=args.seed, engine=engine
-    )
-    print(render_figure(blocking_curve(result), ".1f"))
-    population = I2PPopulation(
-        PopulationConfig(
-            target_daily_population=max(500, int(30_500 * args.scale * 0.5)),
-            horizon_days=2,
-            seed=args.seed + 1,
-        )
-    )
-    view = population.day_view(0)
-    netdb = client_netdb_from_dayview(
-        population,
-        view,
-        size=min(600, max(50, view.online_count // 2)),
-        rng=random.Random(args.seed),
-    )
-    figure14 = usability_curve(
-        netdb,
-        blocking_rates=(0.0, 0.65, 0.71, 0.77, 0.83, 0.89, 0.95),
-        fetches_per_rate=args.fetches,
-        seed=args.seed,
-    )
-    print()
-    print(render_figure(figure14, ".1f"))
-    return 0
-
-
 @contextmanager
 def _terminate_via_system_exit() -> Iterator[None]:
     """Route SIGINT/SIGTERM through ``SystemExit`` for the dialog's duration.
@@ -1099,10 +862,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     commands = {
-        "measure": _cmd_measure,
-        "calibrate": _cmd_calibrate,
-        "censor": _cmd_censor,
-        "suite": _cmd_suite,
         "scenarios": _cmd_scenarios,
         "run": _cmd_run,
         "cache": _cmd_cache,
@@ -1114,10 +873,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handler = commands.get(args.command)
     if handler is None:
         parser.error(f"unknown command {args.command!r}")
-        return 2
-    input_error = _campaign_input_error(args)
-    if input_error is not None:
-        print(input_error, file=sys.stderr)
         return 2
     provider = None
     building_db = args.command == "geo" and args.geo_action == "build-db"

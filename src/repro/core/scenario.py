@@ -51,6 +51,9 @@ Execution templates (``ScenarioSpec.kind``)
 ``reseed_denial``
     What-if: a cohort of *new* clients under reseed-server denial, with
     and without manual ``i2pseeds.su3`` rescue (Section 6.1).
+``usability``
+    Figure 14: eepsite page loads from a client whose known peer IPs are
+    null-routed at growing blocking rates (Section 6.2.3).
 ``netdb_scale``
     Message-level: netDb publish throughput (DatabaseStoreMessages per
     second) across network sizes on the batched message plane
@@ -77,8 +80,10 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.series import FigureData
+from ..netdb.routerinfo import RouterInfo
 from ..sim.exposure import ExposureEngine
 from ..sim.observation import standard_monitor_fleet
+from ..sim.population import I2PPopulation, PopulationConfig
 from .blocking import blocking_curve, country_blocking_curve, prefix_blocking_curve
 from .bridges import bridge_pool_summary, bridge_survival_curve
 from .campaign import (
@@ -111,6 +116,7 @@ from .population import (
 )
 from .reporting import render_campaign_summary, render_table1
 from .reseed_blocking import reseed_blocking_curve
+from .usability import client_netdb_from_dayview, usability_curve
 
 __all__ = [
     "FleetSpec",
@@ -554,6 +560,30 @@ def _execute_prefix_blocking(
         ANALYSES[name](result, out)
 
 
+def _private_client_netdb(
+    daily_population: int, population_seed: int, max_size: int, seed: int
+) -> List[RouterInfo]:
+    """A client netDb sampled from day 0 of a small private population.
+
+    Reseeding and page loads need row-oriented RouterInfos, which the
+    read-only exposure cache does not carry.
+    """
+    population = I2PPopulation(
+        PopulationConfig(
+            target_daily_population=daily_population,
+            horizon_days=2,
+            seed=population_seed,
+        )
+    )
+    view = population.day_view(0)
+    return client_netdb_from_dayview(
+        population,
+        view,
+        size=min(max_size, max(50, view.online_count // 2)),
+        rng=random.Random(seed),
+    )
+
+
 def _execute_reseed_denial(
     spec: ScenarioSpec,
     out: ScenarioResult,
@@ -564,30 +594,17 @@ def _execute_reseed_denial(
 ) -> None:
     """What-if: a cohort of new clients bootstrapping under reseed denial.
 
-    Builds a bootstrap netDb from a small private population (reseed needs
-    row-oriented RouterInfos, which the read-only exposure cache does not
-    carry) and sweeps the number of blocked reseed servers, with and
-    without manual-reseed rescue.
+    Builds a bootstrap netDb from a small private population and sweeps
+    the number of blocked reseed servers, with and without manual-reseed
+    rescue.
     """
-    from .usability import client_netdb_from_dayview
-    from ..sim.population import I2PPopulation, PopulationConfig
-
-    netdb_size = int(spec.params.get("netdb_size", 400))
     clients = int(spec.params.get("clients", 200))
     manual_share = float(spec.params.get("manual_reseed_share", 0.25))
-    population = I2PPopulation(
-        PopulationConfig(
-            target_daily_population=max(200, int(round(2000 * scale * 4))),
-            horizon_days=2,
-            seed=seed + 11,
-        )
-    )
-    view = population.day_view(0)
-    routerinfos = client_netdb_from_dayview(
-        population,
-        view,
-        size=min(netdb_size, max(50, view.online_count // 2)),
-        rng=random.Random(seed),
+    routerinfos = _private_client_netdb(
+        max(200, int(round(2000 * scale * 4))),
+        seed + 11,
+        int(spec.params.get("netdb_size", 400)),
+        seed,
     )
     figure = reseed_blocking_curve(
         routerinfos,
@@ -603,6 +620,37 @@ def _execute_reseed_denial(
         "netdb_routerinfos": len(routerinfos),
         "fully_blocked_success_pct": no_rescue.points[-1][1],
     }
+
+
+#: Figure 14's blocking rates (share of the client's known peer IPs).
+_USABILITY_BLOCKING_RATES = (0.0, 0.65, 0.71, 0.77, 0.83, 0.89, 0.95)
+
+
+def _execute_usability(
+    spec: ScenarioSpec,
+    out: ScenarioResult,
+    scale: float,
+    seed: int,
+    days: int,
+    engine: ExposureEngine,
+) -> None:
+    """Figure 14: page loads from a stable client under IP blocking.
+
+    Builds the client's netDb from a small private population, then
+    null-routes a growing share of its peer IPs and simulates
+    ``params.fetches`` page loads per blocking rate.
+    """
+    netdb = _private_client_netdb(
+        max(500, int(30_500 * scale * 0.5)), seed + 1, 600, seed
+    )
+    out.add_figure(
+        usability_curve(
+            netdb,
+            blocking_rates=_USABILITY_BLOCKING_RATES,
+            fetches_per_rate=int(spec.params.get("fetches", 10)),
+            seed=seed,
+        )
+    )
 
 
 def _execute_netdb_scale(
@@ -720,7 +768,7 @@ def _execute_fault_injection(
 
 #: Kinds whose execution has no campaign day horizon (a ``days`` override
 #: would silently change nothing, so ``run_scenario`` rejects it).
-_DAYLESS_KINDS = {"reseed_denial", "netdb_scale", "fault_injection"}
+_DAYLESS_KINDS = {"reseed_denial", "usability", "netdb_scale", "fault_injection"}
 
 _EXECUTORS: Dict[
     str,
@@ -735,6 +783,7 @@ _EXECUTORS: Dict[
     "country_blocking": _execute_country_blocking,
     "prefix_blocking": _execute_prefix_blocking,
     "reseed_denial": _execute_reseed_denial,
+    "usability": _execute_usability,
     "netdb_scale": _execute_netdb_scale,
     "fault_injection": _execute_fault_injection,
 }
@@ -807,6 +856,8 @@ def resolve_scenario(
         raise TypeError("scenario must be a registered name or a ScenarioSpec")
     if spec.kind not in _EXECUTORS:
         raise ValueError(f"unknown scenario kind {spec.kind!r}")
+    if (spec.days if days is None else days) <= 0:
+        raise ValueError("days must be positive")
     if days is not None:
         if spec.kind in _DAYLESS_KINDS:
             raise ValueError(
@@ -823,8 +874,6 @@ def resolve_scenario(
         if router_count < 2:
             raise ValueError("router count must be at least 2")
         spec = replace(spec, router_count=router_count)
-    if spec.days <= 0:
-        raise ValueError("a scenario needs at least one day")
     return spec
 
 
@@ -834,20 +883,18 @@ def run_scenario(
     seed: int = 2018,
     days: Optional[int] = None,
     engine: Optional[ExposureEngine] = None,
-    cache_dir: Optional[object] = None,
     router_count: Optional[int] = None,
 ) -> ScenarioResult:
     """Execute one scenario (by name or spec) and collect its outputs.
 
     ``days`` overrides the spec's default horizon; ``router_count`` the
     simulated-network size of message-level kinds; ``engine`` an existing
-    exposure engine (so several scenarios share populations); ``cache_dir``
-    a directory for the cross-process exposure bundle cache (ignored when an
-    explicit engine is passed — configure the engine instead).
+    exposure engine (so several scenarios share populations, or the
+    cross-process bundle cache is used: ``ExposureEngine(cache_dir=...)``).
     """
     spec = resolve_scenario(scenario, days, router_count, scale)
     if engine is None:
-        engine = ExposureEngine(cache_dir=cache_dir)
+        engine = ExposureEngine()
     out = ScenarioResult(
         spec=spec,
         scale=scale,
@@ -920,6 +967,7 @@ register_scenario(
         "heavy analyses) off ONE shared exposure",
         kind="suite",
         days=10,
+        analyses=("summary",),
         params={"max_routers": 40, "sweep_days": 3, "router_sweep_days": 5},
     )
 )
@@ -1013,6 +1061,15 @@ register_scenario(
         description="What-if: new-client cohort under reseed-server denial, "
         "with and without manual i2pseeds.su3 rescue",
         kind="reseed_denial",
+        days=1,
+    )
+)
+register_scenario(
+    ScenarioSpec(
+        name="usability",
+        description="Figure 14: timed-out requests and page-load latency as "
+        "a growing share of a client's known peer IPs is blocked",
+        kind="usability",
         days=1,
     )
 )

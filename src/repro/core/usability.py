@@ -253,6 +253,8 @@ def usability_curve(
     blocks addresses regardless of their role), then ``fetches_per_rate``
     page loads are simulated.
     """
+    if fetches_per_rate < 1:
+        raise ValueError("fetches_per_rate must be at least 1")
     rng = random.Random(seed)
     known_ips = sorted({ip for info in netdb for ip in info.ip_addresses})
     if not known_ips:

@@ -7,8 +7,8 @@ store shares the file with its own tables).  Design points:
 * **Crash-safe claims** — ``claim_next`` runs a ``BEGIN IMMEDIATE``
   transaction: select the first eligible pending job (group order, so one
   digest group drains before the next starts), flip it to ``running`` and
-  stamp the claimant in the same transaction.  Two workers — threads or
-  processes — can never claim the same job.
+  stamp the claimant in the same transaction.  Two connections — in one
+  process or two — can never claim the same job.
 * **Retry budget with backoff** — a failed job goes back to ``pending``
   with ``not_before = now + backoff * 2^(attempt-1)``; once ``attempts``
   reaches the budget it is parked as ``failed`` and a row with the full
@@ -84,7 +84,7 @@ CREATE TABLE IF NOT EXISTS dead_letter (
 
 @dataclass(frozen=True)
 class ClaimedJob:
-    """One job leased to a worker: queue row id + the planned job value."""
+    """One claimed job: queue row id + the planned job value."""
 
     id: int
     grid_id: str
@@ -145,8 +145,8 @@ class JobQueue:
                 )
             for order, job in enumerate(plan.jobs):
                 # The digest column is the *group key*: digest-less
-                # (message-level) jobs get a unique ``solo:`` key so group
-                # leasing never needs a NULL-filter special case.
+                # (message-level) jobs get a unique ``solo:`` key, so every
+                # row names the group it belongs to.
                 group_key = job.digest or f"solo:{job.name}"
                 cursor = self._conn.execute(
                     "INSERT OR IGNORE INTO jobs "
@@ -188,7 +188,6 @@ class JobQueue:
         self,
         worker: str,
         grid_id: Optional[str] = None,
-        digest: Optional[str] = None,
         now: Optional[float] = None,
     ) -> Optional[ClaimedJob]:
         """Lease the next eligible pending job (None when none is due)."""
@@ -198,9 +197,6 @@ class JobQueue:
         if grid_id is not None:
             where.append("grid_id = ?")
             args.append(grid_id)
-        if digest is not None:
-            where.append("digest = ?")
-            args.append(digest)
         query = (
             "SELECT id, grid_id, job_json, attempts, retry_budget FROM jobs "
             f"WHERE {' AND '.join(where)} ORDER BY grid_id, group_order LIMIT 1"
@@ -227,22 +223,14 @@ class JobQueue:
             retry_budget=row["retry_budget"],
         )
 
-    def next_eligible_at(
-        self, grid_id: Optional[str] = None, digest: Optional[str] = None
-    ) -> Optional[float]:
+    def next_eligible_at(self, grid_id: Optional[str] = None) -> Optional[float]:
         """Earliest ``not_before`` among pending jobs (None = queue drained)."""
-        where = ["state = 'pending'"]
+        query = "SELECT MIN(not_before) AS t FROM jobs WHERE state = 'pending'"
         args: List[object] = []
         if grid_id is not None:
-            where.append("grid_id = ?")
+            query += " AND grid_id = ?"
             args.append(grid_id)
-        if digest is not None:
-            where.append("digest = ?")
-            args.append(digest)
-        row = self._conn.execute(
-            f"SELECT MIN(not_before) AS t FROM jobs WHERE {' AND '.join(where)}",
-            args,
-        ).fetchone()
+        row = self._conn.execute(query, args).fetchone()
         return None if row is None or row["t"] is None else float(row["t"])
 
     # -- completion -------------------------------------------------------- #
@@ -320,7 +308,11 @@ class JobQueue:
             )
 
     def recover_stale(self, grid_id: Optional[str] = None) -> int:
-        """Re-pend jobs a dead process left ``running`` (attempt stays spent)."""
+        """Re-pend jobs a dead process left ``running`` (attempt stays spent).
+
+        Every ``running`` row is taken for a dead claimant, so this must
+        not run while another process is working the same grid.
+        """
         query = "UPDATE jobs SET state = 'pending', claimed_by = NULL WHERE state = 'running'"
         args: List[object] = []
         if grid_id is not None:
@@ -342,20 +334,6 @@ class JobQueue:
         for row in self._conn.execute(query, args):
             counts[row["state"]] = row["n"]
         return counts
-
-    def pending_digests(self, grid_id: str) -> List[str]:
-        """Distinct group keys still pending, in group order.
-
-        A group key is an exposure digest for exposure-consuming jobs and
-        ``solo:<name>`` for message-level singletons.
-        """
-        rows = self._conn.execute(
-            "SELECT digest, MIN(group_order) AS first FROM jobs "
-            "WHERE grid_id = ? AND state = 'pending' "
-            "GROUP BY digest ORDER BY first",
-            (grid_id,),
-        ).fetchall()
-        return [row["digest"] for row in rows]
 
     def list_jobs(self, grid_id: Optional[str] = None) -> List[Dict[str, object]]:
         query = (

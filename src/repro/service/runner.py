@@ -11,14 +11,12 @@
    the queue's retry/dead-letter policy; on interrupt un-claim the
    in-flight job and re-raise so the CLI's signal handler semantics hold.
 
-Because the planner ordered jobs group-by-group, a single worker with one
+Because the planner ordered jobs group-by-group, the loop's one
 :class:`ExposureEngine` touches each ``SharedExposure`` exactly once per
-group.  With ``workers > 1`` each thread gets its *own* engine (the engine
-is not thread-safe) and leases whole digest groups off a shared iterator —
-jobs in a group still share one build, groups run concurrently, and the
-on-disk bundle cache is shared by path.
+group.  Jobs run one at a time on the calling thread, so SIGINT/SIGTERM
+land inside the in-flight job and its interrupt handling applies.
 
-The loop always flushes its engines in a ``finally`` — together with the
+The loop always flushes its engine in a ``finally`` — together with the
 CLI's SIGINT/SIGTERM handler this joins background bundle writes, so an
 interrupted run leaves no half-written ``.exposure-*`` temp dirs behind.
 """
@@ -26,7 +24,6 @@ interrupted run leaves no half-written ``.exposure-*`` temp dirs behind.
 from __future__ import annotations
 
 import os
-import threading
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -81,9 +78,8 @@ def _run_claimed(
     out: GridRunResult,
     backoff_base: float,
     progress: Optional[Callable[[str], None]],
-    lock: threading.Lock,
 ) -> None:
-    """Execute one leased job through its full lifecycle."""
+    """Execute one claimed job through its full lifecycle."""
     job = claimed.job
     span_id = telemetry.span_start(
         "job",
@@ -127,13 +123,12 @@ def _run_claimed(
         queue.mark_done(claimed.id, run_id)
         telemetry.event("job.done", job=job.name, run_id=run_id)
         telemetry.span_end("job", span_id, status="ok", seconds=round(wall, 6))
-        with lock:
-            out.done += 1
-            out.executed.append(job.name)
-            out.job_wall_seconds[job.name] = wall
-            out.exposure_builds += builds
-            out.exposure_hits += hits
-            out.exposure_disk_hits += disk_hits
+        out.done += 1
+        out.executed.append(job.name)
+        out.job_wall_seconds[job.name] = wall
+        out.exposure_builds += builds
+        out.exposure_hits += hits
+        out.exposure_disk_hits += disk_hits
         if progress is not None:
             progress(f"[done] {job.name} -> run {run_id}")
     except (KeyboardInterrupt, SystemExit, GeneratorExit):
@@ -142,8 +137,7 @@ def _run_claimed(
         queue.mark_interrupted(claimed.id)
         telemetry.event("job.interrupted", job=job.name)
         telemetry.span_end("job", span_id, status="interrupted")
-        with lock:
-            out.interrupted = True
+        out.interrupted = True
         raise
     except Exception as error:
         tb = traceback.format_exc()
@@ -155,83 +149,15 @@ def _run_claimed(
             error=f"{type(error).__name__}: {error}",
         )
         telemetry.span_end("job", span_id, status="error")
-        with lock:
-            out.executed.append(job.name)
-            if outcome == "dead_letter":
-                out.dead_lettered += 1
-            else:
-                out.retried += 1
+        out.executed.append(job.name)
+        if outcome == "dead_letter":
+            out.dead_lettered += 1
+        else:
+            out.retried += 1
         if progress is not None:
             progress(
                 f"[{outcome}] {job.name} (attempt {claimed.attempts}"
                 f"/{claimed.retry_budget}): {type(error).__name__}: {error}"
-            )
-
-
-class _Budget:
-    """Shared --max-jobs allowance across worker threads."""
-
-    def __init__(self, limit: Optional[int]) -> None:
-        self._remaining = limit
-        self._lock = threading.Lock()
-
-    def take(self) -> bool:
-        with self._lock:
-            if self._remaining is None:
-                return True
-            if self._remaining <= 0:
-                return False
-            self._remaining -= 1
-            return True
-
-    def refund(self) -> None:
-        with self._lock:
-            if self._remaining is not None:
-                self._remaining += 1
-
-
-def _drain(
-    db_path: str,
-    grid_id: str,
-    digest_filter: Optional[str],
-    worker: str,
-    store: ResultStore,
-    engine: ExposureEngine,
-    telemetry: Telemetry,
-    out: GridRunResult,
-    budget: _Budget,
-    backoff_base: float,
-    progress: Optional[Callable[[str], None]],
-    lock: threading.Lock,
-    stop: threading.Event,
-) -> None:
-    """Claim-and-run until this slice of the queue is empty."""
-    with JobQueue(db_path) as queue:
-        while not stop.is_set():
-            if not budget.take():
-                return
-            claimed = queue.claim_next(worker, grid_id=grid_id, digest=digest_filter)
-            if claimed is None:
-                budget.refund()
-                # Distinguish "drained" from "every pending job is backing
-                # off": in the latter case wait out the earliest retry.
-                eligible_at = queue.next_eligible_at(grid_id, digest_filter)
-                if eligible_at is None:
-                    return
-                wait = max(0.0, eligible_at - time.time())
-                if stop.wait(min(wait, 0.5) if wait else 0.01):
-                    return
-                continue
-            _run_claimed(
-                claimed,
-                queue,
-                store,
-                engine,
-                telemetry,
-                out,
-                backoff_base,
-                progress,
-                lock,
             )
 
 
@@ -240,94 +166,45 @@ def execute_grid(
     grid_id: str,
     engine_factory: Callable[[], ExposureEngine],
     telemetry: Optional[Telemetry] = None,
-    workers: int = 1,
     max_jobs: Optional[int] = None,
     backoff_base: float = 0.5,
     progress: Optional[Callable[[str], None]] = None,
-    worker_name: Optional[str] = None,
 ) -> GridRunResult:
     """Execute (or resume) one grid's queue until drained or interrupted."""
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     telemetry = telemetry if telemetry is not None else Telemetry(None)
     out = GridRunResult(grid_id=grid_id)
-    lock = threading.Lock()
-    budget = _Budget(max_jobs)
     started = time.monotonic()
-    base_name = worker_name or f"worker-{os.getpid()}"
-    engines: List[ExposureEngine] = []
-    telemetry.event("grid.start", grid=grid_id, workers=workers)
+    worker = f"worker-{os.getpid()}"
+    engine: Optional[ExposureEngine] = None
+    telemetry.event("grid.start", grid=grid_id)
     try:
-        with JobQueue(db_path) as control:
-            recovered = control.recover_stale(grid_id)
+        with JobQueue(db_path) as queue, ResultStore(db_path) as store:
+            recovered = queue.recover_stale(grid_id)
             if recovered:
                 telemetry.event("grid.recovered_stale", grid=grid_id, jobs=recovered)
-            pending_groups = control.pending_digests(grid_id)
-        stop = threading.Event()
-        if workers == 1 or len(pending_groups) <= 1:
-            # Serial path runs on the calling thread so SIGINT/SIGTERM land
-            # inside the in-flight job and its interrupt handling applies.
             engine = engine_factory()
-            engines.append(engine)
-            store = ResultStore(db_path)
-            try:
-                _drain(
-                    db_path, grid_id, None, base_name, store, engine,
-                    telemetry, out, budget, backoff_base, progress, lock, stop,
+            claims = 0
+            while max_jobs is None or claims < max_jobs:
+                claimed = queue.claim_next(worker, grid_id=grid_id)
+                if claimed is None:
+                    # Distinguish "drained" from "every pending job is
+                    # backing off": in the latter case wait out the
+                    # earliest retry.
+                    eligible_at = queue.next_eligible_at(grid_id)
+                    if eligible_at is None:
+                        break
+                    wait = max(0.0, eligible_at - time.time())
+                    time.sleep(min(wait, 0.5) if wait else 0.01)
+                    continue
+                claims += 1
+                _run_claimed(
+                    claimed, queue, store, engine, telemetry, out,
+                    backoff_base, progress,
                 )
-            finally:
-                store.close()
-        else:
-            # One thread per worker, each leasing whole digest groups off a
-            # shared iterator: jobs in a group share that thread's engine.
-            group_iter = iter(pending_groups)
-            group_lock = threading.Lock()
-
-            def lease() -> Optional[object]:
-                with group_lock:
-                    return next(group_iter, None)
-
-            def worker_main(index: int) -> None:
-                engine = engine_factory()
-                with lock:
-                    engines.append(engine)
-                store = ResultStore(db_path)
-                try:
-                    while not stop.is_set():
-                        digest = lease()
-                        if digest is None:
-                            return
-                        _drain(
-                            db_path, grid_id, str(digest),
-                            f"{base_name}.{index}", store, engine, telemetry,
-                            out, budget, backoff_base, progress, lock, stop,
-                        )
-                finally:
-                    store.close()
-
-            threads = [
-                threading.Thread(
-                    target=worker_main, args=(index,), daemon=True,
-                    name=f"grid-worker-{index}",
-                )
-                for index in range(workers)
-            ]
-            for thread in threads:
-                thread.start()
-            try:
-                for thread in threads:
-                    while thread.is_alive():
-                        thread.join(timeout=0.2)
-            except BaseException:
-                stop.set()
-                out.interrupted = True
-                for thread in threads:
-                    thread.join(timeout=10.0)
-                raise
     finally:
         # Join background bundle writes even on interrupt: no stale
         # .exposure-* temp dirs may survive a killed grid run.
-        for engine in engines:
+        if engine is not None:
             engine.flush()
         out.wall_seconds = time.monotonic() - started
         telemetry.event(

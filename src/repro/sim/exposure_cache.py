@@ -45,8 +45,9 @@ Per-monitor observation masks are *not* persisted — they are pure
 functions of the observation seed and the persisted exposure draws, so
 restored runs recompute them bit-identically.  The digest folds in the
 format version, so a format bump turns every older bundle into a cache
-miss (it is never read); a bundle whose ``meta.json`` names another
-format is evicted and rebuilt like any other unreadable one.
+miss (it is never read, and ``repro cache ls`` flags it as a stale
+format); a bundle whose ``meta.json`` names another format is evicted and
+rebuilt like any other unreadable one.
 
 Restored entries are **read-only**: the population behind them is a
 :class:`RestoredPopulation` over a
@@ -669,10 +670,10 @@ def evict_corrupt(path: Path, error: BaseException) -> bool:
 def cache_entries(directory: Path) -> List[Dict[str, object]]:
     """Metadata of every cache entry in ``directory`` (for ``repro cache ls``).
 
-    Bundles come first (sorted by digest); leftover v1 ``.npz`` archives
-    are listed too, flagged ``legacy`` — they are dead weight the new
-    format will never read, kept visible so ``cache clear`` stays an
-    informed decision.
+    Bundles come first (sorted by digest); bundles of an older format and
+    leftover v1 ``.npz`` archives are listed too, flagged with an
+    ``error`` — they are dead weight the current format will never read,
+    kept visible so ``cache clear`` stays an informed decision.
     """
     directory = Path(directory)
     entries: List[Dict[str, object]] = []
@@ -687,16 +688,20 @@ def cache_entries(directory: Path) -> List[Dict[str, object]]:
             }
             try:
                 meta = read_meta(path)
-                entry.update(
-                    days=meta.get("days"),
-                    peers=meta.get("peers"),
-                    shard_days=meta.get("shard_days"),
-                    seed=meta.get("config", {}).get("seed"),
-                    daily_population=meta.get("config", {}).get(
-                        "target_daily_population"
-                    ),
-                    observation_seed=meta.get("observation_seed"),
-                )
+                version = meta.get("format_version")
+                if version != FORMAT_VERSION:
+                    entry["error"] = f"stale format {version}"
+                else:
+                    entry.update(
+                        days=meta.get("days"),
+                        peers=meta.get("peers"),
+                        shard_days=meta.get("shard_days"),
+                        seed=meta.get("config", {}).get("seed"),
+                        daily_population=meta.get("config", {}).get(
+                            "target_daily_population"
+                        ),
+                        observation_seed=meta.get("observation_seed"),
+                    )
             except Exception:  # noqa: BLE001 - corrupt/foreign bundle
                 entry["error"] = "unreadable"
             entries.append(entry)

@@ -1,13 +1,23 @@
 """Tests for the declarative scenario engine (``core/scenario.py``)."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
-from repro.core.campaign import run_figure_suite, run_main_campaign
+from repro.core.campaign import (
+    bandwidth_sweep,
+    router_count_sweep,
+    run_figure_suite,
+    run_main_campaign,
+    single_router_experiment,
+)
 from repro.core.blocking import blocking_curve
 from repro.core.churn_analysis import ip_churn_figure, longevity_figure
 from repro.core.geography import asn_figure, country_figure
 from repro.core.population import daily_population_figure, unknown_ip_figure
 from repro.core.reporting import render_campaign_summary
+from repro.core.usability import client_netdb_from_dayview, usability_curve
 from repro.core.scenario import (
     ANALYSES,
     FleetSpec,
@@ -18,6 +28,7 @@ from repro.core.scenario import (
     run_scenario,
 )
 from repro.sim.exposure import ExposureEngine
+from repro.sim.population import I2PPopulation, PopulationConfig
 
 
 class TestRegistry:
@@ -114,6 +125,53 @@ class TestRunScenarioEquivalence:
         assert scenario.suite.longevity == direct.longevity
         assert scenario.suite.ip_churn.as_dict() == direct.ip_churn.as_dict()
 
+    def test_figure_suite_matches_calibration_figures(self):
+        """The suite's Figures 2-4 are the Section 4 methodology experiments
+        on one 10-day horizon, and it also reports the campaign summary."""
+        scenario = run_scenario("figure_suite", scale=0.02, seed=44, days=10)
+        engine = ExposureEngine()
+        common = dict(scale=0.02, seed=44, engine=engine, horizon_days=10)
+        figure4, _ = router_count_sweep(max_routers=40, **common)
+        assert (
+            scenario.figures["figure_02"].to_text()
+            == single_router_experiment(**common).to_text()
+        )
+        assert (
+            scenario.figures["figure_03"].to_text()
+            == bandwidth_sweep(**common).to_text()
+        )
+        assert scenario.figures["figure_04"].to_text() == figure4.to_text()
+        assert scenario.tables["campaign_summary"] == render_campaign_summary(
+            scenario.suite.campaign
+        )
+
+    def test_usability_matches_the_figure14_experiment(self):
+        """``run usability`` is Figure 14 over a private client netDb."""
+        scale, seed = 0.02, 45
+        scenario = run_scenario("usability", scale=scale, seed=seed)
+        population = I2PPopulation(
+            PopulationConfig(
+                target_daily_population=max(500, int(30_500 * scale * 0.5)),
+                horizon_days=2,
+                seed=seed + 1,
+            )
+        )
+        view = population.day_view(0)
+        netdb = client_netdb_from_dayview(
+            population,
+            view,
+            size=min(600, max(50, view.online_count // 2)),
+            rng=random.Random(seed),
+        )
+        direct = usability_curve(
+            netdb,
+            blocking_rates=(0.0, 0.65, 0.71, 0.77, 0.83, 0.89, 0.95),
+            fetches_per_rate=10,
+            seed=seed,
+        )
+        assert scenario.figures["figure_14"].to_text() == direct.to_text()
+        assert scenario.exposure_digest is None
+
     def test_shared_engine_reuses_population_across_scenarios(self):
         engine = ExposureEngine()
         run_scenario("main_campaign", scale=0.02, seed=43, days=4, engine=engine)
@@ -201,8 +259,21 @@ class TestRunScenarioValidation:
         assert result.spec.days == 2
 
     def test_zero_days_rejected(self):
-        with pytest.raises(ValueError, match="at least one day"):
+        with pytest.raises(ValueError, match="^days must be positive$"):
             run_scenario("bandwidth_sweep", scale=0.02, seed=47, days=0)
+
+    def test_figure_suite_respects_max_routers(self):
+        spec = get_scenario("figure_suite")
+        spec = replace(spec, params={**dict(spec.params), "max_routers": 4})
+        result = run_scenario(spec, scale=0.01, seed=48, days=4)
+        routers = {x for series in result.figures["figure_04"].series.values()
+                   for x in series.xs}
+        assert max(routers) == 4.0
+
+    def test_usability_fetches_param(self):
+        spec = replace(get_scenario("usability"), params={"fetches": 2})
+        result = run_scenario(spec, scale=0.01, seed=49)
+        assert "2 fetches per blocking rate" in result.figures["figure_14"].to_text()
 
     def test_wrong_type_rejected(self):
         with pytest.raises(TypeError):

@@ -105,6 +105,11 @@ class TestUsabilityCurve:
         with pytest.raises(ValueError):
             usability_curve(client_netdb, blocking_rates=(1.5,), fetches_per_rate=1)
 
+    @pytest.mark.parametrize("fetches", [0, -3])
+    def test_fewer_than_one_fetch_rejected(self, client_netdb, fetches):
+        with pytest.raises(ValueError, match="^fetches_per_rate must be at least 1$"):
+            usability_curve(client_netdb, fetches_per_rate=fetches)
+
     def test_netdb_without_ips_rejected(self):
         from repro.netdb.identity import RouterIdentity
         from repro.netdb.routerinfo import RouterInfo, parse_capacity_string

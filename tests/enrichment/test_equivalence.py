@@ -23,6 +23,7 @@ from repro.enrichment import (
     set_active_provider,
     use_provider,
 )
+from repro.sim.exposure import ExposureEngine
 from repro.sim.geo import default_registry
 
 
@@ -94,7 +95,7 @@ class TestRangeDbEquivalence:
                 scale=0.02,
                 seed=41,
                 days=4,
-                cache_dir=tmp_path / f"cache{i}",
+                engine=ExposureEngine(cache_dir=tmp_path / f"cache{i}"),
             )
             for i in range(2)
         ]

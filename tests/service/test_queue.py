@@ -70,12 +70,6 @@ class TestClaiming:
                     names.add(q.claim_next("w", grid_id=plan.grid_id).job.name)
         assert len(names) == 4
 
-    def test_digest_filter_scopes_the_claim(self, queue, plan):
-        digest = plan.jobs[-1].digest
-        claimed = queue.claim_next("w", grid_id=plan.grid_id, digest=digest)
-        assert claimed.job.digest == digest
-        assert claimed.job.name == plan.jobs[2].name
-
     def test_drained_queue_claims_none(self, queue, plan):
         for _ in range(4):
             queue.mark_done(queue.claim_next("w").id, "r")
@@ -88,10 +82,14 @@ class TestRetriesAndDeadLetter:
         claimed = queue.claim_next("w", grid_id=plan.grid_id, now=100.0)
         outcome = queue.mark_failed(claimed.id, "Traceback: boom", backoff_base=0.5, now=101.0)
         assert outcome == "retry"
-        # Backing off: not eligible at now, eligible at not_before.
-        assert queue.claim_next("w", grid_id=plan.grid_id, digest=claimed.job.digest, now=101.0).job.name != claimed.job.name
-        # Within its digest group the failed job is the only pending one.
-        assert queue.next_eligible_at(plan.grid_id, claimed.job.digest) == pytest.approx(101.5)
+        # Backing off: not eligible at now, so the claim moves on to the
+        # next job of the same digest group, then the other group.
+        rest = [queue.claim_next("w", grid_id=plan.grid_id, now=101.0) for _ in range(3)]
+        assert [job.job.name for job in rest] == [job.name for job in plan.jobs[1:]]
+        assert rest[0].job.digest == claimed.job.digest
+        assert queue.claim_next("w", grid_id=plan.grid_id, now=101.0) is None
+        # The failed job is the only pending one: eligible at not_before.
+        assert queue.next_eligible_at(plan.grid_id) == pytest.approx(101.5)
         again = queue.claim_next("w", grid_id=plan.grid_id, now=102.0)
         assert again.job.name == claimed.job.name
         assert again.attempts == 2
@@ -143,11 +141,5 @@ class TestGroupKeys:
         plan = plan_grid(GridSpec(scenario="reseed_denial", scale=0.02))
         with JobQueue(tmp_path / "s.sqlite") as queue:
             queue.enqueue_plan(plan)
-            digests = queue.pending_digests(plan.grid_id)
+            digests = [row["digest"] for row in queue.list_jobs(plan.grid_id)]
         assert digests == ["solo:base"]
-
-    def test_pending_digests_in_group_order(self, queue, plan):
-        assert queue.pending_digests(plan.grid_id) == [
-            plan.jobs[0].digest,
-            plan.jobs[2].digest,
-        ]

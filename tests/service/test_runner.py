@@ -1,6 +1,4 @@
-"""Grid runner: shared builds, resume semantics, retries, multi-worker."""
-
-import pytest
+"""Grid runner: shared builds, resume semantics, retries, digest groups."""
 
 from repro.core import run_scenario
 from repro.service import (
@@ -129,9 +127,27 @@ class TestFailurePolicy:
             counts = queue.counts(plan.grid_id)
         assert counts == {"pending": 0, "running": 0, "done": 1, "failed": 1}
 
+    def test_zero_fetches_dead_letters_with_one_line(self, tmp_path):
+        spec = GridSpec(
+            scenario="usability",
+            axes=(GridAxis("params.fetches", (0,)),),
+            scale=0.01,
+            retry_budget=1,
+        )
+        plan, db = enqueue(tmp_path, spec)
+        result = execute_grid(
+            db, plan.grid_id, engine_factory_for(tmp_path), backoff_base=0.0
+        )
+        assert result.done == 0
+        assert result.dead_lettered == 1
+        with JobQueue(db) as queue:
+            dead = queue.dead_letter_jobs(plan.grid_id)
+        last_line = dead[0]["traceback"].strip().splitlines()[-1]
+        assert last_line == "ValueError: fetches_per_rate must be at least 1"
 
-class TestMultiWorker:
-    def test_two_workers_split_two_digest_groups(self, tmp_path):
+
+class TestDigestGroups:
+    def test_two_digest_groups_build_once_each(self, tmp_path):
         spec = sweep_spec(
             axes=(
                 GridAxis("days", (2, 3)),
@@ -143,14 +159,11 @@ class TestMultiWorker:
         trace = tmp_path / "trace.jsonl"
         with Telemetry(trace) as telemetry:
             result = execute_grid(
-                db,
-                plan.grid_id,
-                engine_factory_for(tmp_path),
-                telemetry=telemetry,
-                workers=2,
+                db, plan.grid_id, engine_factory_for(tmp_path), telemetry=telemetry
             )
         assert result.done == 4
-        # One build per digest group even though groups ran concurrently.
+        # Jobs drain group by group: one build per digest group.
+        assert result.executed == [job.name for job in plan.jobs]
         assert result.exposure_builds == 2
         assert result.exposure_hits == 2
         records = read_events(trace)
@@ -161,8 +174,3 @@ class TestMultiWorker:
                 if r.get("name") == "exposure.cache" and r.get("digest") == digest
             )
             assert group_builds == 1
-
-    def test_invalid_worker_count_rejected(self, tmp_path):
-        plan, db = enqueue(tmp_path, sweep_spec())
-        with pytest.raises(ValueError, match="workers"):
-            execute_grid(db, plan.grid_id, engine_factory_for(tmp_path), workers=0)

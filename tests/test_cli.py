@@ -13,80 +13,88 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_measure_defaults(self):
-        args = build_parser().parse_args(["measure"])
-        assert args.command == "measure"
-        assert args.days == 20
+    def test_run_defaults(self):
+        args = build_parser().parse_args(["run", "main_campaign"])
+        assert args.command == "run"
+        assert args.days is None
+        assert args.router_count is None
         assert args.export_dir is None
 
     def test_global_options(self):
-        args = build_parser().parse_args(["--scale", "0.02", "--seed", "7", "calibrate"])
+        args = build_parser().parse_args(
+            ["--scale", "0.02", "--seed", "7", "run", "usability"]
+        )
         assert args.scale == 0.02
         assert args.seed == 7
-        assert args.command == "calibrate"
+        assert args.command == "run"
+
+    def test_help_lists_one_front_end(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--help"])
+        usage = capsys.readouterr().out
+        assert "{scenarios,run,cache,geo,grid,jobs,results}" in usage
 
 
-class TestMeasureCommand:
-    def test_measure_prints_summary(self, capsys):
-        exit_code = main(["--scale", "0.01", "measure", "--days", "3"])
-        captured = capsys.readouterr().out
-        assert exit_code == 0
-        assert "Population (Section 5.1)" in captured
-        assert "Table 1" in captured
-        assert "figure_13" in captured
-
-    def test_measure_exports_figures(self, capsys, tmp_path):
+class TestRunExport:
+    def test_main_campaign_exports_every_figure(self, capsys, tmp_path):
         export_dir = tmp_path / "figures"
         exit_code = main(
-            ["--scale", "0.01", "measure", "--days", "3", "--export-dir", str(export_dir)]
+            [
+                "--scale", "0.01", "run", "main_campaign", "--days", "3",
+                "--export-dir", str(export_dir),
+            ]
         )
         assert exit_code == 0
-        csv_files = sorted(p.name for p in export_dir.glob("*.csv"))
-        json_files = sorted(p.name for p in export_dir.glob("*.json"))
-        assert "figure_05.csv" in csv_files
-        assert "figure_13.csv" in csv_files
-        assert len(csv_files) == len(json_files) == 9
+        assert f"exported 20 files to {export_dir}" in capsys.readouterr().out
+        csv_files = sorted(p.stem for p in export_dir.glob("*.csv"))
+        json_files = sorted(p.stem for p in export_dir.glob("*.json"))
+        assert csv_files == json_files == ["ablation_bridges"] + [
+            f"figure_{n:02d}" for n in range(5, 14)
+        ]
         payload = json.loads((export_dir / "figure_13.json").read_text())
         assert payload["figure_id"] == "figure_13"
         assert payload["series"]
 
-
-class TestCalibrateCommand:
-    def test_calibrate_prints_all_three_figures(self, capsys):
-        exit_code = main(["--scale", "0.01", "calibrate", "--max-routers", "6"])
-        captured = capsys.readouterr().out
-        assert exit_code == 0
-        assert "figure_02" in captured
-        assert "figure_03" in captured
-        assert "figure_04" in captured
-
-
-class TestSuiteCommand:
-    def test_suite_prints_figures_and_analyses(self, capsys):
-        exit_code = main(
-            ["--scale", "0.01", "suite", "--days", "4", "--max-routers", "4"]
+    def test_exported_files_match_the_campaign_analyses(self, capsys, tmp_path):
+        from repro.analysis.export import write_figure_csv, write_figure_json
+        from repro.core import (
+            asn_figure,
+            asn_span_figure,
+            blocking_curve,
+            capacity_figure,
+            country_figure,
+            daily_population_figure,
+            ip_churn_figure,
+            longevity_figure,
+            run_main_campaign,
+            unknown_ip_figure,
         )
-        captured = capsys.readouterr().out
-        assert exit_code == 0
-        assert "figure_02" in captured
-        assert "figure_03" in captured
-        assert "figure_04" in captured
-        assert "Table 1" in captured
-        assert "longevity" in captured
-        assert "ip churn" in captured
-        # One shared exposure serves the whole suite.
-        assert "1 population build(s)" in captured
 
-
-class TestCensorCommand:
-    def test_censor_prints_blocking_and_usability(self, capsys):
-        exit_code = main(
-            ["--scale", "0.01", "censor", "--days", "3", "--fetches", "3"]
-        )
-        captured = capsys.readouterr().out
-        assert exit_code == 0
-        assert "figure_13" in captured
-        assert "figure_14" in captured
+        export_dir = tmp_path / "run"
+        argv = ["--scale", "0.01", "--seed", "5", "run", "main_campaign",
+                "--days", "3", "--export-dir", str(export_dir)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        result = run_main_campaign(days=3, scale=0.01, seed=5)
+        figures = [
+            analysis(result.log)
+            for analysis in (
+                daily_population_figure,
+                unknown_ip_figure,
+                longevity_figure,
+                ip_churn_figure,
+                capacity_figure,
+                country_figure,
+                asn_figure,
+                asn_span_figure,
+            )
+        ] + [blocking_curve(result)]
+        direct = tmp_path / "direct"
+        for figure in figures:
+            for writer, suffix in ((write_figure_csv, "csv"), (write_figure_json, "json")):
+                name = f"{figure.figure_id}.{suffix}"
+                writer(figure, direct / name)
+                assert (export_dir / name).read_bytes() == (direct / name).read_bytes()
 
 
 class TestScenariosCommand:
@@ -103,6 +111,7 @@ class TestScenariosCommand:
             "monitor_fraction_sweep",
             "country_blocking",
             "reseed_denial",
+            "usability",
             "floodfill-takedown",
             "reseed-outage",
             "lossy-network",
@@ -129,6 +138,36 @@ class TestRunCommand:
         assert "scenario monitor_fraction_sweep" in captured
         assert "scenario_monitor_fraction" in captured
         assert "population build(s)" in captured
+
+    def test_run_main_campaign_prints_summary(self, capsys):
+        exit_code = main(["--scale", "0.01", "run", "main_campaign", "--days", "3"])
+        captured = capsys.readouterr().out
+        assert exit_code == 0
+        assert "Population (Section 5.1)" in captured
+        assert "Table 1" in captured
+        assert "figure_13" in captured
+
+    def test_run_figure_suite_prints_summary_and_figures(self, capsys):
+        exit_code = main(["--scale", "0.01", "run", "figure_suite", "--days", "4"])
+        captured = capsys.readouterr().out
+        assert exit_code == 0
+        # The campaign summary comes first, then Figures 2-4.
+        assert captured.index("Population (Section 5.1)") < captured.index("figure_02")
+        assert "figure_03" in captured
+        assert "figure_04" in captured
+        assert "Table 1" in captured
+        assert "longevity_thresholds" in captured
+        assert "ip_churn" in captured
+        # One shared exposure serves the whole suite.
+        assert "1 population build(s)" in captured
+
+    def test_run_usability_prints_figure_14(self, capsys):
+        exit_code = main(["--scale", "0.01", "run", "usability"])
+        captured = capsys.readouterr().out
+        assert exit_code == 0
+        assert "scenario usability [usability]" in captured
+        assert "figure_14" in captured
+        assert "10 fetches per blocking rate" in captured
 
     def test_run_unknown_scenario_fails_with_catalogue(self, capsys):
         exit_code = main(["run", "does-not-exist"])
@@ -162,6 +201,19 @@ class TestCacheCommandAndReuse:
         assert "removed 1 cache entr(y/ies)" in capsys.readouterr().out
         assert main(["cache", "ls"]) == 0
         assert "0 entr" in capsys.readouterr().out
+
+    def test_cache_ls_flags_older_format_bundles(self, capsys, tmp_path):
+        assert main(["--scale", "0.01", "run", "bandwidth_sweep", "--days", "2"]) == 0
+        capsys.readouterr()
+        (meta_path,) = (tmp_path / "exposure-cache").glob("*/meta.json")
+        meta = json.loads(meta_path.read_text())
+        meta["format_version"] = 2
+        meta_path.write_text(json.dumps(meta))
+        assert main(["cache", "ls"]) == 0
+        assert f"{meta_path.parent.name}  <stale format 2>" in capsys.readouterr().out
+        assert main(["cache", "ls", "--json"]) == 0
+        (entry,) = json.loads(capsys.readouterr().out)["entries"]
+        assert entry["error"] == "stale format 2"
 
     def test_no_cache_flag_disables_disk_cache(self, capsys):
         argv = ["--scale", "0.01", "--no-cache", "run", "bandwidth_sweep", "--days", "2"]
@@ -258,19 +310,6 @@ class TestExposureBackendFlag:
             main(argv)
 
 
-class TestSuiteMaxRouters:
-    def test_suite_respects_max_routers(self, capsys):
-        exit_code = main(
-            ["--scale", "0.01", "suite", "--days", "4", "--max-routers", "4"]
-        )
-        captured = capsys.readouterr().out
-        assert exit_code == 0
-        figure4 = captured[captured.index("figure_04") :].split("\n\n")[0]
-        rows = [line.split()[0] for line in figure4.splitlines() if line[:1].isdigit()]
-        assert rows, figure4
-        assert max(float(x) for x in rows) == 4.0
-
-
 class TestRunCommandErrors:
     def test_run_invalid_days_override_fails_cleanly(self, capsys):
         exit_code = main(["run", "reseed_denial", "--days", "5"])
@@ -309,14 +348,14 @@ class TestRunCommandErrors:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["--scale", "0", "measure", "--days", "2"], "scale must be positive"),
-            (["--scale", "0", "calibrate"], "scale must be positive"),
-            (["--scale", "0", "censor", "--days", "2"], "scale must be positive"),
-            (["--scale", "0", "suite", "--days", "2"], "scale must be positive"),
-            (["--scale", "nan", "measure", "--days", "2"], "scale must be positive"),
-            (["measure", "--days", "-3"], "days must be positive"),
-            (["censor", "--days", "0"], "days must be positive"),
-            (["suite", "--days", "0"], "days must be positive"),
+            (["--scale", "0", "run", "main_campaign", "--days", "2"], "scale must be positive"),
+            (["--scale", "0", "run", "figure_suite"], "scale must be positive"),
+            (["--scale", "0", "run", "usability"], "scale must be positive"),
+            (["--scale", "0", "run", "figure_suite", "--days", "2"], "scale must be positive"),
+            (["--scale", "nan", "run", "main_campaign", "--days", "2"], "scale must be positive"),
+            (["run", "main_campaign", "--days", "-3"], "days must be positive"),
+            (["run", "usability", "--days", "0"], "days must be positive"),
+            (["run", "figure_suite", "--days", "0"], "days must be positive"),
             (["run", "main_campaign", "--days", "0"], "days must be positive"),
         ],
     )

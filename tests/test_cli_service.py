@@ -3,7 +3,7 @@
 The ``resolve_option`` precedence tests are deliberately one-rule-per-test:
 every CLI-flag/env-twin pair in the module routes through that single
 helper, so these tests pin the precedence contract for all of them at once
-(including the service knobs ``REPRO_SERVICE_DB`` / ``REPRO_GRID_WORKERS``).
+(including the service knob ``REPRO_SERVICE_DB``).
 """
 
 import json
@@ -11,13 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import _parse_workers, build_parser, main, resolve_option
+from repro.cli import build_parser, main, resolve_option
 
 
 class TestResolveOption:
     def test_explicit_flag_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GRID_WORKERS", "8")
-        assert resolve_option(2, "REPRO_GRID_WORKERS", default=1) == 2
+        monkeypatch.setenv("REPRO_EXPOSURE_BACKEND", "out-of-core")
+        assert resolve_option("in-memory", "REPRO_EXPOSURE_BACKEND") == "in-memory"
 
     def test_env_wins_over_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVICE_DB", "/tmp/x.sqlite")
@@ -30,36 +30,26 @@ class TestResolveOption:
         assert resolve_option(None, "REPRO_SERVICE_DB", default="d") == "d"
 
     def test_blank_env_is_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GRID_WORKERS", "   ")
-        assert resolve_option(None, "REPRO_GRID_WORKERS", default=1) == 1
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "   ")
+        assert resolve_option(None, "REPRO_CACHE_MAX_BYTES", default=1) == 1
 
     def test_parse_applies_to_env_only(self, monkeypatch):
         # Flags arrive pre-converted by argparse; parse must not touch them.
-        monkeypatch.setenv("REPRO_GRID_WORKERS", "4")
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "4")
         calls = []
 
         def parse(raw):
             calls.append(raw)
             return int(raw)
 
-        assert resolve_option(None, "REPRO_GRID_WORKERS", parse=parse) == 4
-        assert resolve_option(9, "REPRO_GRID_WORKERS", parse=parse) == 9
+        assert resolve_option(None, "REPRO_CACHE_MAX_BYTES", parse=parse) == 4
+        assert resolve_option(9, "REPRO_CACHE_MAX_BYTES", parse=parse) == 9
         assert calls == ["4"]
 
     def test_flag_zero_is_an_explicit_value(self, monkeypatch):
         # Only None means "flag absent"; falsy values are still explicit.
         monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "100")
         assert resolve_option(0, "REPRO_CACHE_MAX_BYTES", default=5) == 0
-
-
-class TestEnvParsers:
-    @pytest.mark.parametrize("raw", ["0", "-1", "two", "1.5", ""])
-    def test_workers_rejects_non_positive(self, raw):
-        with pytest.raises(ValueError, match="REPRO_GRID_WORKERS"):
-            _parse_workers(raw)
-
-    def test_workers_accepts_positive(self):
-        assert _parse_workers("3") == 3
 
 
 @pytest.fixture()
@@ -145,13 +135,6 @@ class TestUsageErrors:
         assert main(["grid", "run", "nope-123"]) == 2
         assert "unknown grid" in capsys.readouterr().err
 
-    def test_bad_workers_env_exits_2(self, service_db, monkeypatch, capsys):
-        assert main(SWEEP_ARGS) == 0
-        capsys.readouterr()
-        monkeypatch.setenv("REPRO_GRID_WORKERS", "zero")
-        assert main(["grid", "run"]) == 2
-        assert "REPRO_GRID_WORKERS" in capsys.readouterr().err
-
     def test_results_show_unknown_ref_exits_2(self, service_db, capsys):
         assert main(["results", "show", "missing"]) == 2
         assert "no run matching" in capsys.readouterr().err
@@ -160,11 +143,10 @@ class TestUsageErrors:
 class TestParserSurface:
     def test_grid_run_flags_parse(self):
         args = build_parser().parse_args(
-            ["grid", "run", "abc", "--workers", "2", "--max-jobs", "3",
+            ["grid", "run", "abc", "--max-jobs", "3",
              "--backoff", "0.1", "--telemetry", "/tmp/t.jsonl"]
         )
         assert args.grid_id == "abc"
-        assert args.workers == 2
         assert args.max_jobs == 3
         assert args.backoff == 0.1
         assert args.telemetry == Path("/tmp/t.jsonl")

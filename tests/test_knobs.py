@@ -20,7 +20,6 @@ KNOBS = {
     "REPRO_GEO_DB",
     # campaign service
     "REPRO_SERVICE_DB",
-    "REPRO_GRID_WORKERS",
     "REPRO_GRID_JOB_DELAY",
     # profiling
     "REPRO_PROFILE",
