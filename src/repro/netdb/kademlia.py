@@ -27,6 +27,7 @@ __all__ = [
     "closest_nodes",
     "pack_keys",
     "select_closest_shared",
+    "select_closest_row",
     "select_closest_segmented",
 ]
 
@@ -185,6 +186,34 @@ def select_closest_shared(
                 _rank_exact(target_words[row], pool_words, pool_ids, cols, count),
             )
     return out
+
+
+def select_closest_row(
+    target_words: np.ndarray,
+    pool_words: np.ndarray,
+    pool_ids: Sequence[bytes],
+    cols: np.ndarray,
+    count: int,
+) -> List[int]:
+    """:func:`select_closest_shared` for one ``(4,)`` target row.
+
+    For callers that rank once per step of a walk.  Returns a list of at
+    most ``count`` pool indices that matches
+    :func:`repro.netdb.routing_key.select_closest` bit for bit.
+    """
+    n_cols = len(cols)
+    if count <= 0 or n_cols == 0:
+        return []
+    if n_cols <= count + 1:
+        return _rank_exact(target_words, pool_words, pool_ids, cols, count)
+    d0 = pool_words[cols, 0] ^ target_words[0]
+    part = np.argpartition(d0, count)[: count + 1]
+    vals = d0[part]
+    order = np.argsort(vals, kind="stable")
+    svals = vals[order]
+    if not _unambiguous_rows(svals[None], count)[0]:
+        return _rank_exact(target_words, pool_words, pool_ids, cols, count)
+    return cols[part[order[:count]]].tolist()
 
 
 def select_closest_segmented(

@@ -18,7 +18,10 @@ store shares the file with its own tables).  Design points:
   un-claims the job and refunds the attempt.  A hard kill leaves the row
   ``running``; :meth:`recover_stale` re-pends it on the next run and the
   attempt stays spent — a job that repeatedly kills the process still
-  drains into the dead-letter table instead of looping forever.
+  drains into the dead-letter table instead of looping forever.  A claim
+  held by a live process on this host (see :func:`claimant_name`) is left
+  alone, so a second ``grid run`` on the same file works the queue
+  alongside the first instead of re-running its in-flight job.
 * **WAL journaling** — readers (``repro jobs ls``, a monitoring loop)
   never block the single writer mid-campaign.
 
@@ -30,6 +33,9 @@ interrupt, or stale recovery.
 from __future__ import annotations
 
 import json
+import os
+import re
+import socket
 import sqlite3
 import time
 from dataclasses import dataclass
@@ -38,9 +44,31 @@ from typing import Dict, List, Optional, Union
 
 from .grid import GridJob, GridPlan, GridSpec
 
-__all__ = ["ClaimedJob", "JobQueue", "JOB_STATES"]
+__all__ = ["ClaimedJob", "JobQueue", "JOB_STATES", "claimant_name"]
 
 JOB_STATES = ("pending", "running", "done", "failed")
+
+_CLAIMANT = re.compile(r"worker-([1-9][0-9]*)@(.+)")
+
+
+def claimant_name() -> str:
+    """This process's claimant name: ``worker-<pid>@<host>``."""
+    return f"worker-{os.getpid()}@{socket.gethostname()}"
+
+
+def _claimant_alive(claimed_by: Optional[str]) -> bool:
+    """Whether ``claimed_by`` names a live process on this host."""
+    match = _CLAIMANT.fullmatch(claimed_by or "")
+    if match is None or match.group(2) != socket.gethostname():
+        return False
+    try:
+        os.kill(int(match.group(1)), 0)
+    except PermissionError:
+        return True  # the process exists under another user
+    except (OSError, OverflowError):
+        return False
+    return True
+
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS grids (
@@ -310,17 +338,32 @@ class JobQueue:
     def recover_stale(self, grid_id: Optional[str] = None) -> int:
         """Re-pend jobs a dead process left ``running`` (attempt stays spent).
 
-        Every ``running`` row is taken for a dead claimant, so this must
-        not run while another process is working the same grid.
+        A row claimed as ``worker-<pid>@<host>`` by a process that is still
+        alive on this host (``os.kill(pid, 0)`` succeeds) belongs to
+        another ``grid run`` at work and stays ``running``.  Rows claimed on
+        another host, or under the older ``worker-<pid>`` or any free-form
+        name, are taken for dead and re-pended.  The probe cannot tell a
+        reused pid from the claimant: a row whose dead claimant's pid now
+        belongs to an unrelated process stays ``running`` until that
+        process exits.
         """
-        query = "UPDATE jobs SET state = 'pending', claimed_by = NULL WHERE state = 'running'"
+        query = "SELECT id, claimed_by FROM jobs WHERE state = 'running'"
         args: List[object] = []
         if grid_id is not None:
             query += " AND grid_id = ?"
             args.append(grid_id)
         with self._conn:
-            cursor = self._conn.execute(query, args)
-        return cursor.rowcount
+            self._conn.execute("BEGIN IMMEDIATE")
+            stale = [
+                (row["id"],)
+                for row in self._conn.execute(query, args).fetchall()
+                if not _claimant_alive(row["claimed_by"])
+            ]
+            self._conn.executemany(
+                "UPDATE jobs SET state = 'pending', claimed_by = NULL WHERE id = ?",
+                stale,
+            )
+        return len(stale)
 
     # -- inspection -------------------------------------------------------- #
     def counts(self, grid_id: Optional[str] = None) -> Dict[str, int]:

@@ -2,7 +2,9 @@
 
 ``execute_grid`` is the worker loop behind ``repro grid run|resume``:
 
-1. re-pend any jobs a dead process left ``running`` (crash recovery);
+1. re-pend any jobs a dead process left ``running`` (crash recovery;
+   jobs claimed by another live ``grid run`` on this host stay theirs,
+   so two processes on one service db drain it together);
 2. claim -> execute -> persist, job by job, with per-phase telemetry
    spans and an ``exposure.cache`` counter-delta event per job (the CI
    gate sums these to prove a digest group built its population once);
@@ -31,7 +33,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..core.scenario import run_scenario
 from ..sim.exposure import ExposureEngine
-from .queue import ClaimedJob, JobQueue
+from .queue import ClaimedJob, JobQueue, claimant_name
 from .store import ResultStore
 from .telemetry import Telemetry
 
@@ -174,7 +176,7 @@ def execute_grid(
     telemetry = telemetry if telemetry is not None else Telemetry(None)
     out = GridRunResult(grid_id=grid_id)
     started = time.monotonic()
-    worker = f"worker-{os.getpid()}"
+    worker = claimant_name()
     engine: Optional[ExposureEngine] = None
     telemetry.event("grid.start", grid=grid_id)
     try:

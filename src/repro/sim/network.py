@@ -27,6 +27,20 @@ mutate anyone's candidate sets, and floodfill publishers are replayed
 sequentially in their legacy order, so reordering the remaining work is
 observationally equivalent.  Columnar router state lives in
 :class:`repro.sim.directory.RouterDirectory`.
+
+Lookups (Section 2.1.2's iterative search) run one walk on both planes,
+:meth:`I2PNetwork._lookup_walk`, behind ``lookup_routerinfo``, its
+fault-aware variant and ``lookup_leaseset``.  It packs the key's routing
+key once (the directory's row for a registered hash; any other key is
+packed alone and never registered), starts from the requester's cached
+floodfill view, and at each step queries the closest unqueried
+candidate, ranked on the packed keys by
+:func:`repro.netdb.kademlia.select_closest_row`.  A floodfill that lacks
+the entry answers with the three floodfills it knows closest to the key,
+minus the queried ones and the requester (the selection
+:meth:`FloodfillRouterState._closer_reply` makes over hashes), and the
+live ones join the candidates.  The walk builds no message objects;
+``messages_delivered`` counts one per query that reaches a floodfill.
 """
 
 from __future__ import annotations
@@ -38,9 +52,18 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..netdb.floodfill import FLOOD_REDUNDANCY, FloodfillRouterState
+from ..netdb.floodfill import (
+    FLOOD_REDUNDANCY,
+    LOOKUP_CLOSER_COUNT,
+    FloodfillRouterState,
+)
 from ..netdb.identity import RouterIdentity
-from ..netdb.kademlia import select_closest_segmented, select_closest_shared
+from ..netdb.kademlia import (
+    pack_keys,
+    select_closest_row,
+    select_closest_segmented,
+    select_closest_shared,
+)
 from ..netdb.leaseset import LEASE_DURATION, Destination, Lease, LeaseSet
 from ..netdb.messages import (
     DatabaseLookupMessage,
@@ -1414,41 +1437,10 @@ class I2PNetwork:
         local = requester.store.get_routerinfo(key)
         if local is not None:
             return local
-        queried: Set[bytes] = set()
-        candidates = [h for h in requester.known_floodfills if h in self.routers]
-        if not candidates:
-            candidates = self.floodfill_hashes()
-        for _ in range(max_iterations):
-            remaining = [h for h in candidates if h not in queried]
-            if not remaining:
-                return None
-            target_key = routing_key(key, self.clock.now)
-            ordered = select_closest(target_key, remaining, 1, self.clock.now)
-            if not ordered:
-                return None
-            target_hash = ordered[0]
-            queried.add(target_hash)
-            target = self.routers.get(target_hash)
-            if target is None or target.floodfill_state is None:
-                continue
-            message = DatabaseLookupMessage(
-                from_hash=requester_hash,
-                key=key,
-                lookup_type=LookupType.ROUTERINFO,
-                exclude_hashes=tuple(queried),
-            )
-            response = target.floodfill_state.handle_lookup(message, self.clock.now)
-            self.messages_delivered += 1
-            if isinstance(response, DatabaseStoreMessage):
-                info = response.entry
-                assert isinstance(info, RouterInfo)
-                requester.learn(info)
-                return info
-            if hasattr(response, "closer_hashes"):
-                candidates.extend(
-                    h for h in response.closer_hashes if h in self.routers
-                )
-        return None
+        info = self._lookup_walk(requester, key, max_iterations, set())[0]
+        if info is not None:
+            requester.learn(info)
+        return info
 
     def _lookup_routerinfo_faulty(
         self, requester_hash: bytes, key: bytes, max_iterations: int
@@ -1467,13 +1459,12 @@ class I2PNetwork:
         assert faults is not None
         plan = faults.plan
         metrics = self.fault_metrics
-        now = self.clock.now
         requester = self.routers[requester_hash]
         local = requester.store.get_routerinfo(key)
         if local is not None:
             metrics.note_lookup(True, 0, 0.0)
             return local
-        queried: Set[bytes] = set()
+        queried: Set[int] = set()
         latency = 0.0
         rounds_used = 0
         for attempt in range(1 + plan.lookup_retry_budget):
@@ -1484,50 +1475,110 @@ class I2PNetwork:
                 if hit is not None:
                     metrics.note_lookup(True, rounds_used, latency)
                     return hit
-            candidates = [h for h in requester.known_floodfills if h in self.routers]
-            if not candidates:
-                candidates = self.floodfill_hashes()
-            for _ in range(max_iterations):
-                remaining = [h for h in candidates if h not in queried]
-                if not remaining:
-                    break
-                target_key = routing_key(key, now)
-                ordered = select_closest(target_key, remaining, 1, now)
-                if not ordered:
-                    break
-                target_hash = ordered[0]
-                queried.add(target_hash)
-                target = self.routers.get(target_hash)
-                if target is None or target.floodfill_state is None:
-                    continue
-                rounds_used += 1
-                if faults.crashed(target_hash, now) or faults.message_dropped(
-                    requester_hash, target_hash, now, CHANNEL_LOOKUP
-                ):
-                    latency += plan.lookup_timeout_seconds
-                    metrics.note_lookup_timeout()
-                    continue
-                latency += plan.hop_seconds
-                message = DatabaseLookupMessage(
-                    from_hash=requester_hash,
-                    key=key,
-                    lookup_type=LookupType.ROUTERINFO,
-                    exclude_hashes=tuple(queried),
-                )
-                response = target.floodfill_state.handle_lookup(message, now)
-                self.messages_delivered += 1
-                if isinstance(response, DatabaseStoreMessage):
-                    info = response.entry
-                    assert isinstance(info, RouterInfo)
-                    requester.learn(info)
-                    metrics.note_lookup(True, rounds_used, latency)
-                    return info
-                if hasattr(response, "closer_hashes"):
-                    candidates.extend(
-                        h for h in response.closer_hashes if h in self.routers
-                    )
+            info, rounds, latency = self._lookup_walk(
+                requester, key, max_iterations, queried, faults=faults, latency=latency
+            )
+            rounds_used += rounds
+            if info is not None:
+                requester.learn(info)
+                metrics.note_lookup(True, rounds_used, latency)
+                return info
         metrics.note_lookup(False, rounds_used, latency)
         return None
+
+    def _lookup_walk(
+        self,
+        requester: SimulatedRouter,
+        key: bytes,
+        max_iterations: int,
+        queried: Set[int],
+        leaseset: bool = False,
+        faults: Optional[FaultInjector] = None,
+        latency: float = 0.0,
+    ) -> Tuple[Optional[object], int, float]:
+        """One iterative lookup walk (see the module docstring).
+
+        Finds the RouterInfo, or with ``leaseset`` the LeaseSet, of
+        ``key``.  ``queried`` holds the directory columns already asked
+        and grows in place, so a retried walk skips them.  With
+        ``faults``, a query to a crashed floodfill or a dropped one times
+        out; the returned ``(entry, rounds, latency)`` then counts the
+        queries made and adds their modelled latency to ``latency``.
+        """
+        now = self.clock.now
+        directory = self.directory
+        view = self._floodfill_view(requester)
+        cands = view.alive_cols if view.alive_hashes else self._active_floodfills()[1]
+        row = directory.index.get(key)
+        if row is None:  # packed alone: the key is never registered
+            target_words = pack_keys([routing_key(key, now)])[0]
+        else:
+            target_words = directory.key_words(now)[row]
+        unqueried = ~np.isin(cands, list(queried))
+        col_routers = self._col_router_map()
+        rounds = 0
+        for _ in range(max_iterations):
+            remaining = cands[unqueried]
+            if not len(remaining):
+                break
+            (col,) = select_closest_row(
+                target_words, directory.key_words(now), directory.hashes, remaining, 1
+            )
+            queried.add(col)
+            unqueried &= cands != col
+            target = col_routers.get(col)
+            if target is None or target.floodfill_state is None:
+                continue
+            state = target.floodfill_state
+            if faults is not None:
+                rounds += 1
+                plan = faults.plan
+                if faults.crashed(target.hash, now) or faults.message_dropped(
+                    requester.hash, target.hash, now, CHANNEL_LOOKUP
+                ):
+                    latency += plan.lookup_timeout_seconds
+                    self.fault_metrics.note_lookup_timeout()
+                    continue
+                latency += plan.hop_seconds
+            self.messages_delivered += 1
+            if state.crashed:
+                continue  # a crashed floodfill answers nothing
+            if leaseset:
+                entry = state.store.get_leaseset(key)
+            else:
+                entry = state.store.get_routerinfo(key)
+            if entry is not None:
+                return entry, rounds, latency
+            closer = self._closer_cols(
+                state, target_words, queried | {requester.dir_index}
+            )
+            new = [c for c in closer if c in col_routers and not (cands == c).any()]
+            if new:
+                cands = np.concatenate((cands, np.array(new, dtype=np.int64)))
+                unqueried = np.concatenate((unqueried, np.ones(len(new), dtype=bool)))
+        return None, rounds, latency
+
+    def _closer_cols(
+        self,
+        state: FloodfillRouterState,
+        target_words: np.ndarray,
+        excluded: Set[int],
+    ) -> List[int]:
+        """Columns of :meth:`FloodfillRouterState._closer_reply` for a key.
+
+        Dropping the ``excluded`` columns leaves the order of the rest
+        unchanged, so ranking ``len(excluded)`` extra columns and
+        filtering them out equals ranking without them.
+        """
+        cols, _ = self._flood_candidate_cols(state, state.router_hash)
+        ranked = select_closest_row(
+            target_words,
+            self.directory.key_words(self.clock.now),
+            self.directory.hashes,
+            cols,
+            LOOKUP_CLOSER_COUNT + len(excluded),
+        )
+        return [c for c in ranked if c not in excluded][:LOOKUP_CLOSER_COUNT]
 
     # ------------------------------------------------------------------ #
     # Hidden services (eepsites): LeaseSet publication and lookup
@@ -1606,41 +1657,12 @@ class I2PNetwork:
         local = requester.store.get_leaseset(destination_hash)
         if local is not None and not local.is_expired(self.clock.now):
             return local
-        queried: Set[bytes] = set()
-        candidates = [h for h in requester.known_floodfills if h in self.routers]
-        if not candidates:
-            candidates = self.floodfill_hashes()
-        for _ in range(max_iterations):
-            remaining = [h for h in candidates if h not in queried]
-            if not remaining:
-                return None
-            target_key = routing_key(destination_hash, self.clock.now)
-            ordered = select_closest(target_key, remaining, 1, self.clock.now)
-            if not ordered:
-                return None
-            target_hash = ordered[0]
-            queried.add(target_hash)
-            target = self.routers.get(target_hash)
-            if target is None or target.floodfill_state is None:
-                continue
-            message = DatabaseLookupMessage(
-                from_hash=requester_hash,
-                key=destination_hash,
-                lookup_type=LookupType.LEASESET,
-                exclude_hashes=tuple(queried),
-            )
-            response = target.floodfill_state.handle_lookup(message, self.clock.now)
-            self.messages_delivered += 1
-            if isinstance(response, DatabaseStoreMessage) and response.is_leaseset:
-                leaseset = response.entry
-                assert isinstance(leaseset, LeaseSet)
-                requester.store.store_leaseset(leaseset)
-                return leaseset
-            if hasattr(response, "closer_hashes"):
-                candidates.extend(
-                    h for h in response.closer_hashes if h in self.routers
-                )
-        return None
+        leaseset = self._lookup_walk(
+            requester, destination_hash, max_iterations, set(), leaseset=True
+        )[0]
+        if leaseset is not None:
+            requester.store.store_leaseset(leaseset)
+        return leaseset
 
     def fetch_eepsite(
         self,

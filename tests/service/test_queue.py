@@ -1,8 +1,14 @@
 """Job queue: claims, retries, dead-lettering, recovery, idempotent plans."""
 
+import os
+import socket
+import subprocess
+import sys
+
 import pytest
 
 from repro.service import GridAxis, GridSpec, JobQueue, plan_grid
+from repro.service.queue import claimant_name
 
 
 @pytest.fixture()
@@ -129,6 +135,23 @@ class TestRecovery:
         rows = queue.list_jobs(plan.grid_id)
         assert all(row["state"] == "pending" for row in rows)
         assert sum(row["attempts"] for row in rows) == 2
+
+    def test_recover_stale_leaves_a_live_claim_running(self, queue, plan):
+        assert claimant_name() == f"worker-{os.getpid()}@{socket.gethostname()}"
+        queue.claim_next(claimant_name())
+        assert queue.recover_stale(plan.grid_id) == 0
+        row = queue.list_jobs(plan.grid_id)[0]
+        assert row["state"] == "running"
+        assert row["claimed_by"] == claimant_name()
+
+    def test_recover_stale_repends_an_exited_claimant(self, queue, plan):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        queue.claim_next(f"worker-{child.pid}@{socket.gethostname()}")
+        queue.claim_next(f"worker-{os.getpid()}@another-host")
+        queue.claim_next(f"worker-{os.getpid()}")
+        assert queue.recover_stale(plan.grid_id) == 3
+        assert queue.counts(plan.grid_id)["running"] == 0
 
     def test_span_id_lands_on_the_job_row(self, queue, plan):
         claimed = queue.claim_next("w")

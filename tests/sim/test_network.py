@@ -5,9 +5,14 @@ the paper end to end: reseed bootstrap, DLM exploration, tunnel
 participation, and floodfill flooding.
 """
 
+import random
+
 import pytest
 
+from repro.netdb.kademlia import pack_keys
+from repro.netdb.messages import DatabaseLookupMessage, LookupType
 from repro.netdb.routerinfo import BandwidthTier
+from repro.netdb.routing_key import routing_key
 from repro.sim.network import I2PNetwork
 
 
@@ -203,6 +208,49 @@ class TestLookups:
         requester = network.add_router()
         network.publish_all()
         assert network.lookup_routerinfo(requester.hash, b"\x42" * 32) is None
+
+    def test_unregistered_key_stays_out_of_the_directory(self):
+        network = I2PNetwork(seed=11)
+        for _ in range(3):
+            network.add_router(floodfill=True)
+        requester = network.add_router()
+        network.publish_all()
+        size = len(network.directory)
+        assert network.lookup_routerinfo(requester.hash, b"\x42" * 32) is None
+        assert len(network.directory) == size
+
+    def test_walk_closer_selection_matches_the_search_reply(self):
+        """The walk's search-reply selection on packed keys equals
+        FloodfillRouterState._closer_reply over hashes, dead known
+        floodfills and unregistered keys included."""
+        network = I2PNetwork(seed=21)
+        for _ in range(30):
+            network.add_router(floodfill=True, bandwidth_tier=BandwidthTier.O)
+        network.batch_add_routers(170)
+        network.run_convergence_rounds(rounds=3)
+        floodfills = sorted(network.floodfill_hashes())
+        network.remove_router(floodfills.pop())
+        hashes = list(network.routers)
+        index = network.directory.index
+        rng = random.Random(5)
+        for _ in range(200):
+            state = network.routers[rng.choice(floodfills)].floodfill_state
+            key = rng.choice(hashes) if rng.random() < 0.8 else rng.randbytes(32)
+            requester = rng.choice(hashes)
+            queried = {state.router_hash, *rng.sample(floodfills, rng.randint(0, 8))}
+            message = DatabaseLookupMessage(
+                from_hash=requester,
+                key=key,
+                lookup_type=LookupType.ROUTERINFO,
+                exclude_hashes=tuple(queried),
+            )
+            reply = state._closer_reply(message, network.clock.now)
+            cols = network._closer_cols(
+                state,
+                pack_keys([routing_key(key, network.clock.now)])[0],
+                {index[h] for h in queried} | {index[requester]},
+            )
+            assert tuple(network.directory.hashes[c] for c in cols) == reply.closer_hashes
 
 
 class TestTunnels:

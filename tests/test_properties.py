@@ -1,16 +1,18 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
 import random
+from unittest.mock import patch
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import cumulative_share, share, summarize, survival_points
 from repro.core.blocking import blocking_rate
 from repro.netdb.identity import RouterIdentity, from_i2p_base64, sha256, to_i2p_base64
-from repro.netdb.kademlia import closest_nodes, xor_distance
+from repro.netdb.kademlia import closest_nodes, pack_keys, select_closest_row, xor_distance
 from repro.netdb.routerinfo import BandwidthTier, parse_capacity_string
-from repro.netdb.routing_key import SECONDS_PER_DAY, routing_key
+from repro.netdb.routing_key import SECONDS_PER_DAY, routing_key, select_closest
 from repro.netdb.store import NetDbStore
 from repro.sim.bandwidth import BandwidthModel
 from repro.sim.churn import ChurnModel
@@ -19,6 +21,14 @@ from repro.transport.ports import is_possible_i2p_port, random_i2p_port
 # Shared strategies -----------------------------------------------------------
 keys32 = st.binary(min_size=32, max_size=32)
 small_floats = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+#: Keys that often tie on their first 64-bit word (three possible heads),
+#: or are equal outright, so the word-0 selection has to fall back.
+word0_ties = st.builds(
+    bytes.__add__,
+    st.sampled_from([b"\x00" * 8, b"\x80" * 8, b"\xff" * 8]),
+    st.binary(min_size=24, max_size=24),
+)
+selection_keys = st.one_of(keys32, word0_ties, st.sampled_from([b"\x01" * 32, b"\xfe" * 32]))
 
 
 class TestIdentityProperties:
@@ -76,6 +86,23 @@ class TestRoutingKeyProperties:
     def test_same_day_same_routing_key(self, key, day):
         start = day * SECONDS_PER_DAY
         assert routing_key(key, start + 1) == routing_key(key, start + SECONDS_PER_DAY - 1)
+
+
+class TestOneRowSelectionProperties:
+    @given(selection_keys, st.lists(selection_keys, max_size=24), st.integers(0, 6), st.data())
+    def test_matches_select_closest(self, target, keys, count, data):
+        """select_closest_row picks what select_closest picks when the
+        candidates' routing keys are ``keys``: duplicate columns, sets of
+        at most count + 1 and the empty set included."""
+        ids = [sha256(bytes([i])) for i in range(len(keys))]
+        cols = data.draw(st.lists(st.integers(0, len(keys) - 1), max_size=30)) if keys else []
+        key_of = dict(zip(ids, keys))
+        with patch("repro.netdb.routing_key.routing_key", lambda key, _time: key_of[key]):
+            expected = select_closest(target, [ids[c] for c in cols], count, 0.0)
+        selected = select_closest_row(
+            pack_keys([target])[0], pack_keys(keys), ids, np.array(cols, dtype=np.int64), count
+        )
+        assert [ids[c] for c in selected] == expected
 
 
 class TestCapacityStringProperties:
